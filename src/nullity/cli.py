@@ -45,6 +45,17 @@ def _parse_group(spec: str) -> CayleyGroup:
     return group_from_spec(spec)
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"workers must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeff", required=True,
                    help="coefficient ring: F:q, F:p^m, or Z:n")
@@ -57,7 +68,7 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
                    help="largest |K|^n the census will sweep")
     p.add_argument("--max-pairs", type=int, default=oracle.DEFAULT_MAX_PAIRS,
                    help="largest pair count the naive counter will sweep")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
                    help="census worker threads (results identical for any count)")
 
 
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="reproduce the published >= 0.1 table")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("catalog", help="sweep instances, classify by threshold")

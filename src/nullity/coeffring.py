@@ -159,6 +159,23 @@ class _TableArrayOps:
         return self._invt[x]
 
 
+def _elementwise(op, nin: int):
+    ufunc = np.frompyfunc(op, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=np.int64)
+
+
+class _ScalarArrayOps:
+    """Vectorized ring ops on arrays of indices, element by element through
+    the scalar arithmetic; for extension fields too large for dense tables."""
+
+    def __init__(self, K: "CoeffRing"):
+        self.add = _elementwise(K.add, 2)
+        self.sub = _elementwise(K.sub, 2)
+        self.mul = _elementwise(K.mul, 2)
+        self.neg = _elementwise(K.neg, 1)
+        self.inv = _elementwise(K.inv, 1)
+
+
 class CoeffRing:
     """A finite coefficient ring with integer-indexed elements.
 
@@ -334,9 +351,15 @@ class CoeffRing:
         return self._tables
 
     def array_ops(self):
-        """Vectorized add/sub/mul/neg/inv acting on numpy index arrays."""
+        """Vectorized add/sub/mul/neg/inv acting on numpy index arrays.
+
+        Extension fields use dense tables up to q = _TABLE_LIMIT and the
+        scalar arithmetic element by element above it.
+        """
         if self._array_ops is None:
-            if self.kind == EXTENSION_FIELD:
+            if self.kind == EXTENSION_FIELD and self.size > _TABLE_LIMIT:
+                self._array_ops = _ScalarArrayOps(self)
+            elif self.kind == EXTENSION_FIELD:
                 self._array_ops = _TableArrayOps(*self.tables())
             elif self.kind == PRIME_FIELD:
                 p = self.p

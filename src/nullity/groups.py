@@ -156,7 +156,16 @@ def q8() -> CayleyGroup:
 
 def from_table(rows, *, names: tuple[str, ...] | None = None,
                spec: str = "table") -> CayleyGroup:
-    """Build a group from a raw table, validating every axiom."""
+    """Build a group from a raw table, validating every axiom.
+
+    Entries must be integers; floats and bools are rejected, not truncated.
+    """
+    cells = np.asarray(rows, dtype=object)
+    if cells.ndim == 2:
+        for (i, j), v in np.ndenumerate(cells):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise ValueError(
+                    f"bad group table: entry [{i}][{j}] = {v!r} is not an integer")
     table = np.asarray(rows, dtype=np.int64)
     problem = validate_group(table)
     if problem is not None:

@@ -2,20 +2,24 @@
 
 Two independent routes are kept deliberately separate:
 
-* the annihilator census: every ring element's regular matrix is built and
-  its rank taken by batched Gaussian elimination, giving the histogram
-  counts[k] = #{x : |Ann_side(x)| = |K|**k};
+* the annihilator census: regular matrices are built and their ranks taken
+  by batched Gaussian elimination, giving the histogram
+  counts[k] = #{x : |Ann_side(x)| = |K|**k}.  By default only the slice
+  {x : x_e = 1} is ranked and each slice element is weighted by its orbit
+  size; method="full" ranks every element and is the reference;
 * naive pair counting: literal convolution products over all (a, b) pairs
   with no linear algebra anywhere, used to cross-validate the census and to
   cover Z:n coefficients where rank is meaningless.
 
-Chunk boundaries are fixed, so histograms are identical for any worker
-count; partial histograms merge by componentwise addition.
+Chunk boundaries depend only on the amount of work, so histograms are
+identical for any worker count; partial tables merge by componentwise
+addition.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +33,9 @@ from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
 DEFAULT_MAX_PAIRS = 1 << 20
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
+
+CENSUS_METHODS = ("slice", "full")
 
 RELATIONS = ("ab=0", "ab=0&ba=0")
 
@@ -115,23 +121,82 @@ def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
     return (e[:, None] // pows[None, :]) % size
 
 
-def _histogram_chunk(K: CoeffRing, G: CayleyGroup, P: np.ndarray,
-                     lo: int, hi: int) -> np.ndarray:
-    X = _decode_elements(K.size, G.order, lo, hi)
-    mats = X[:, P]
-    ranks = _batch_ranks(mats, K.array_ops())
-    return np.bincount(G.order - ranks, minlength=G.order + 1)
+def _census_rows(size: int, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
+    """Coefficient rows of elements lo..hi: all of K[G], or the slice
+    x_e = 1 whose index j holds (1, base-|K| digits of j)."""
+    if not sliced:
+        return _decode_elements(size, n, lo, hi)
+    X = np.ones((hi - lo, n), dtype=np.int64)
+    X[:, 1:] = _decode_elements(size, n - 1, lo, hi)
+    return X
+
+
+def _census_chunk(K: CoeffRing, G: CayleyGroup, P: np.ndarray,
+                  lo: int, hi: int, sliced: bool) -> np.ndarray:
+    """tab[k, s] = #{x in the chunk : nullity k, support size s}."""
+    n = G.order
+    X = _census_rows(K.size, n, lo, hi, sliced)
+    ranks = _batch_ranks(X[:, P], K.array_ops())
+    support = np.count_nonzero(X, axis=1)
+    cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
+    return cells.reshape(n + 1, n + 1)
+
+
+def _orbit_weighted_counts(tab: np.ndarray, q: int) -> list[int]:
+    """Full histogram from the slice table: every slice element y stands
+    for n(q-1)/|supp y| nonzero elements, and the zero element is added.
+
+    The weights are scaled by L = lcm(1..n) so the sum stays in integers.
+    """
+    n = tab.shape[0] - 1
+    L = math.lcm(*range(1, n + 1))
+    scaled = [sum(int(tab[k, s]) * (n * (q - 1) * L // s) for s in range(1, n + 1))
+              for k in range(n + 1)]
+    counts = []
+    for v in scaled:
+        c, r = divmod(v, L)
+        assert r == 0, "defect: orbit-weighted census count is not an integer"
+        counts.append(c)
+    counts[n] += 1
+    return counts
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Census threads: one per chunk at most; workers must be >= 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, chunks)
 
 
 def annihilator_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
                           max_elements: int = DEFAULT_MAX_ELEMENTS,
-                          workers: int = 1) -> AnnihilatorHistogram:
+                          workers: int = 1,
+                          method: str = "slice") -> AnnihilatorHistogram:
     """Full annihilator census of K[G] on one side.
 
     Field coefficients only; Z:n probabilities go through pair counting
-    instead.  Deterministic for any worker count.
+    instead.  Deterministic for any worker count.  `max_elements` bounds
+    |K|^n whichever method runs.
+
+    method="slice" (the default) ranks only the |K|^(n-1) elements with
+    x_e = 1.  |Ann_side(x)| is constant on the orbits of x -> c*g*x (c in
+    K*, g in G), and exactly |supp x| of the pairs (c, g) put c*g*x in the
+    slice, so sum over x != 0 of f(x) equals sum over slice y of
+    f(y) * n(q-1)/|supp y|.  Invariance holds on every side:
+
+    * left and right: g is a unit, so Ann_l(gx) = Ann_l(x) g^-1 and
+      Ann_r(gx) = Ann_r(x);
+    * twosided: under the symmetric trace form <a, b> = (ab)_e, the set
+      T(x) = {b : xb = 0 = bx} is (Ax + xA)^perp, with A = K[G].  Ax is a
+      left ideal, so A(gx) + (gx)A = Ax + g x A = g(Ax + xA), which has the
+      dimension of Ax + xA; hence |T(gx)| = |T(x)|.
+
+    method="full" ranks all |K|^n elements; it is the reference for
+    cross-checks.
     """
     _check_side(side)
+    if method not in CENSUS_METHODS:
+        raise ValueError(f"method must be one of {CENSUS_METHODS}, got {method!r}")
     if not K.is_field:
         raise ValueError(
             f"annihilator census needs field coefficients, got {K.spec}; "
@@ -140,20 +205,27 @@ def annihilator_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     if total > max_elements:
         raise CapExceeded(
             f"census over |K|^n = {total} elements exceeds max_elements={max_elements}")
+    sliced = method == "slice"
+    work = total // K.size if sliced else total
+    chunks = -(-work // _CHUNK)
+    pool = _pool_size(workers, chunks)
+    spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
     P = _ann_gather_indices(G, side)
     K.array_ops()  # build shared tables once, outside worker threads
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: _histogram_chunk(K, G, P, *s), spans))
+    if pool > 1:
+        with ThreadPoolExecutor(max_workers=pool) as ex:
+            parts = list(ex.map(lambda s: _census_chunk(K, G, P, *s, sliced), spans))
     else:
-        parts = [_histogram_chunk(K, G, P, *s) for s in spans]
-    counts = np.zeros(G.order + 1, dtype=np.int64)
+        parts = [_census_chunk(K, G, P, *s, sliced) for s in spans]
+    tab = np.zeros((G.order + 1, G.order + 1), dtype=np.int64)
     for part in parts:
-        counts += part
-    assert int(counts.sum()) == total, "defect: census counts do not sum to |K|^n"
-    return AnnihilatorHistogram(G.spec, K.spec, side, K.size,
-                                [int(c) for c in counts])
+        tab += part
+    if sliced:
+        counts = _orbit_weighted_counts(tab, K.size)
+    else:
+        counts = [int(c) for c in tab.sum(axis=1)]
+    assert sum(counts) == total, "defect: census counts do not sum to |K|^n"
+    return AnnihilatorHistogram(G.spec, K.spec, side, K.size, counts)
 
 
 def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,

@@ -179,6 +179,20 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert code == 1 and "1024" in err
 
 
+def test_bad_workers_and_group_files_rejected(capsys, tmp_path):
+    for workers in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--coeff", "F:2", "--group", "S3",
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert f"got {workers}" in capsys.readouterr().err
+
+    path = tmp_path / "bools.json"
+    path.write_text("[[false, true], [true, false]]")
+    code, _, err = run(capsys, "oracle", "--coeff", "F:2", "--group", f"@{path}")
+    assert code == 1 and "[0][0] = False is not an integer" in err
+
+
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

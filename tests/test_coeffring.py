@@ -201,7 +201,7 @@ def test_tables_agree_with_scalar_route():
 
 def test_array_ops_agree_with_scalar_route():
     rng = np.random.default_rng(7)
-    for K in (field(7), field(2, 3), integers_mod(12)):
+    for K in (field(7), field(2, 3), field(3, 8), integers_mod(12)):
         ops = K.array_ops()
         x = rng.integers(0, K.size, size=200)
         y = rng.integers(0, K.size, size=200)

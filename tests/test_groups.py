@@ -123,6 +123,17 @@ def test_from_table_and_file_roundtrip(tmp_path):
         group_from_table_file(bad)
 
 
+def test_from_table_rejects_non_integer_entries(tmp_path):
+    with pytest.raises(ValueError, match=r"\[0\]\[1\] = 1.7"):
+        from_table([[0, 1.7], [1, 0.2]])
+    with pytest.raises(ValueError, match=r"\[0\]\[0\] = False"):
+        from_table([[False, True], [True, False]])
+    path = tmp_path / "floats.json"
+    path.write_text("[[0, 1], [1, 0.5]]")
+    with pytest.raises(ValueError, match=r"\[1\]\[1\] = 0.5 is not an integer"):
+        group_from_table_file(path)
+
+
 def test_table_is_frozen():
     G = cyclic(5)
     with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nullity import oracle
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.groupring import CapExceeded, ring_size
-from nullity.groups import cyclic, group_from_spec, q8, s3
-from nullity.oracle import (annihilator_histogram, histogram_record,
+from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
+from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_nullity_probability,
                             m2_pair_count_naive, nullity_probability,
                             pair_count_direct_sum, pair_count_naive,
@@ -114,6 +115,68 @@ def test_worker_count_never_changes_the_census():
     for workers in (2, 3, 8):
         assert annihilator_histogram(K, G, "left",
                                      workers=workers).counts == reference
+
+
+def _relabelled_s3():
+    # g_i of S3 becomes position perm[i]; the identity stays at 0
+    perm = [0, 4, 2, 5, 1, 3]
+    t = s3().table
+    table = np.empty_like(t)
+    for i in range(6):
+        for j in range(6):
+            table[perm[i], perm[j]] = perm[t[i, j]]
+    return from_table(table.tolist(), spec="S3-relabelled")
+
+
+SLICE_CASES = [("F:2", "S3"), ("F:3", "S3"), ("F:2", "Q8"), ("F:3", "Q8"),
+               ("F:4", "C2xC2"), ("F:9", "C:3"), ("F:3", "S3-relabelled")]
+
+
+@pytest.mark.parametrize("coeff,group", SLICE_CASES,
+                         ids=[f"{c}-{g}" for c, g in SLICE_CASES])
+def test_slice_census_equals_full_census(coeff, group):
+    K = ring_from_spec(coeff)
+    G = _relabelled_s3() if group == "S3-relabelled" else group_from_spec(group)
+    for side in ("left", "right", "twosided"):
+        full = annihilator_histogram(K, G, side, method="full")
+        assert annihilator_histogram(K, G, side).counts == full.counts
+
+
+def test_relabelled_group_keeps_its_census():
+    K = field(3)
+    for side in ("left", "right", "twosided"):
+        assert (annihilator_histogram(K, _relabelled_s3(), side).counts
+                == annihilator_histogram(K, s3(), side).counts)
+
+
+def test_slice_census_worker_and_chunk_invariance(monkeypatch):
+    # small chunks give several chunks of unequal content to merge
+    monkeypatch.setattr(oracle, "_CHUNK", 50)
+    for K, G, side in ((field(3), s3(), "twosided"), (field(2), q8(), "left")):
+        full = annihilator_histogram(K, G, side, method="full").counts
+        for workers in (1, 2, 3):
+            assert annihilator_histogram(K, G, side,
+                                         workers=workers).counts == full
+
+
+def test_census_over_large_extension_field():
+    # F:3^8 has no dense tables; the census runs on scalar arithmetic
+    hist = annihilator_histogram(field(3, 8), cyclic(1))
+    assert hist.counts == [6560, 1]
+
+
+def test_census_argument_validation():
+    with pytest.raises(ValueError, match="method"):
+        annihilator_histogram(field(2), cyclic(2), method="orbits")
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            annihilator_histogram(field(2), cyclic(2), workers=workers)
+
+
+def test_pool_size_is_clamped_to_chunk_count():
+    assert _pool_size(1, 5) == 1
+    assert _pool_size(4, 5) == 4
+    assert _pool_size(1000, 3) == 3
 
 
 def test_element_cap_reported_with_size():
