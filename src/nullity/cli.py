@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import formulas, oracle
@@ -21,6 +22,7 @@ from .errata import (ERRATA_BY_KEY, TABLE1_AS_TYPESET, TABLE1_ERRATA,
                      TABLE1_ROWS, expected_formula_mismatch)
 from .groupring import CapExceeded
 from .groups import CayleyGroup, group_from_spec, group_from_table_file
+from .oracle import _fraction_json
 
 
 def decimal_str(value: Fraction, places: int = 6) -> str:
@@ -75,30 +77,25 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
 def cmd_oracle(args) -> int:
     K = ring_from_spec(args.coeff)
     G = _parse_group(args.group)
+    t0 = time.perf_counter()
     if K.is_field:
-        hist, ms = oracle.timed_histogram(K, G, args.side,
-                                          max_elements=args.max_elements,
-                                          workers=args.workers)
-        record = oracle.histogram_record(hist, None if args.no_timing else ms)
+        hist = oracle.annihilator_histogram(K, G, args.side,
+                                            max_elements=args.max_elements,
+                                            workers=args.workers)
+        prob = hist.probability()
     else:
-        import time
-        t0 = time.perf_counter()
+        hist = None
         prob = oracle.nullity_probability(K, G, args.side,
                                           max_pairs=args.max_pairs)
-        ms = int((time.perf_counter() - t0) * 1000)
-        record = {"group": G.spec, "coeff": K.spec, "side": args.side,
-                  "probability": {"num": prob.numerator, "den": prob.denominator}}
-        if not args.no_timing:
-            record["elapsed_ms"] = ms
+    ms = None if args.no_timing else int((time.perf_counter() - t0) * 1000)
+    record = oracle._record(G.spec, K.spec, args.side, prob, hist, ms)
     if args.format == "json":
         print(oracle.record_json(record))
-    elif "counts" in record:
+    elif hist is not None:
         print(oracle.record_text(record))
     else:
-        num = record["probability"]["num"]
-        den = record["probability"]["den"]
-        print(f"rec(group := \"{record['group']}\", coeff := \"{record['coeff']}\", "
-              f"p := {num}/{den})")
+        print(f"rec(group := \"{G.spec}\", coeff := \"{K.spec}\", "
+              f"p := {prob.numerator}/{prob.denominator})")
     return 0
 
 
@@ -112,8 +109,7 @@ def cmd_formula(args) -> int:
             print(f"no {args.variant} variant for this instance", file=sys.stderr)
             return 1
     if args.format == "json":
-        print(json.dumps([{"value": {"num": r.value.numerator,
-                                     "den": r.value.denominator},
+        print(json.dumps([{"value": _fraction_json(r.value),
                            "variant": r.variant, "provenance": r.provenance}
                           for r in results]))
     else:
@@ -148,10 +144,8 @@ def cmd_compare(args) -> int:
                      "note": note})
     if args.format == "json":
         print(json.dumps([{"variant": w["variant"], "provenance": w["provenance"],
-                           "formula": {"num": w["formula"].numerator,
-                                       "den": w["formula"].denominator},
-                           "oracle": {"num": w["oracle"].numerator,
-                                      "den": w["oracle"].denominator},
+                           "formula": _fraction_json(w["formula"]),
+                           "oracle": _fraction_json(w["oracle"]),
                            "match": w["match"], "note": w["note"]}
                           for w in rows]))
     else:
@@ -190,12 +184,9 @@ def cmd_table1(args) -> int:
                      "erratum": key})
     if args.format == "json":
         print(json.dumps([{**r,
-                           "printed": {"num": r["printed"].numerator,
-                                       "den": r["printed"].denominator},
-                           "pair": {"num": r["pair"].numerator,
-                                    "den": r["pair"].denominator},
-                           "twosided": {"num": r["twosided"].numerator,
-                                        "den": r["twosided"].denominator}}
+                           "printed": _fraction_json(r["printed"]),
+                           "pair": _fraction_json(r["pair"]),
+                           "twosided": _fraction_json(r["twosided"])}
                           for r in rows]))
     else:
         print(f"{'#':>2} {'ring':18s} {'printed':16s} {'computed':34s} status")
@@ -228,13 +219,12 @@ def cmd_catalog(args) -> int:
     supported_inside = formulas.gap_check(values, Fraction(21, 64), Fraction(1, 2))
     if args.format == "json":
         out = {
-            "threshold": {"num": threshold.numerator, "den": threshold.denominator},
+            "threshold": _fraction_json(threshold),
             "entries": [{
                 "coeff": e.coeff, "group": e.group,
-                "pair": None if e.p_pair is None else
-                    {"num": e.p_pair.numerator, "den": e.p_pair.denominator},
+                "pair": None if e.p_pair is None else _fraction_json(e.p_pair),
                 "twosided": None if e.p_twosided is None else
-                    {"num": e.p_twosided.numerator, "den": e.p_twosided.denominator},
+                    _fraction_json(e.p_twosided),
                 "skipped": e.skipped,
                 "selected": e in report.selected,
             } for e in report.entries],

@@ -120,32 +120,46 @@ def apply_matrix(K: CoeffRing, M: RepMatrix, v) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
+    """Ranks of a (B, nrows, ncols) stack by in-place elimination.
+
+    Pivoting picks the first not-yet-used row with a nonzero entry in the
+    current column; rows below the pivot are cleared.  `ops` supplies
+    vectorized field arithmetic on index arrays.
+    """
+    B, nrows, ncols = mats.shape
+    pivot = np.zeros(B, dtype=np.int64)
+    rowidx = np.arange(nrows)
+    for col in range(ncols):
+        cand = (mats[:, :, col] != 0) & (rowidx[None, :] >= pivot[:, None])
+        has = cand.any(axis=1)
+        b = np.nonzero(has)[0]
+        if b.size == 0:
+            continue
+        r0 = pivot[b]
+        r1 = np.argmax(cand[b], axis=1)
+        tmp = mats[b, r0, col:].copy()
+        mats[b, r0, col:] = mats[b, r1, col:]
+        mats[b, r1, col:] = tmp
+        prow = ops.mul(ops.inv(mats[b, r0, col])[:, None], mats[b, r0, col:])
+        mats[b, r0, col:] = prow
+        block = mats[b, :, col:]
+        below = rowidx[None, :] > r0[:, None]
+        fac = np.where(below, block[:, :, 0], 0)
+        block = ops.sub(block, ops.mul(fac[:, :, None], prow[:, None, :]))
+        mats[b, :, col:] = block
+        pivot[b] += 1
+    return pivot
+
+
 def matrix_rank(K: CoeffRing, rows) -> int:
-    """Rank over a field by Gaussian elimination; the pivot for each column
-    is the first row with a nonzero entry."""
+    """Rank over a field: the batched elimination on a batch of one."""
     if not K.is_field:
         raise ValueError(f"matrix rank needs field coefficients, got {K.spec}")
-    M = [[int(v) for v in r] for r in np.asarray(rows)]
-    if not M:
+    M = np.array(rows, dtype=np.int64)
+    if M.size == 0:
         return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        scale = K.inv(M[rank][col])
-        M[rank] = [K.mul(scale, v) for v in M[rank]]
-        prow = M[rank]
-        for r in range(nrows):
-            if r != rank and M[r][col]:
-                f = M[r][col]
-                M[r] = [K.sub(v, K.mul(f, w)) for v, w in zip(M[r], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return int(_batch_ranks(M[None], K.array_ops())[0])
 
 
 def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,

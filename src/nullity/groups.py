@@ -161,6 +161,11 @@ def from_table(rows, *, names: tuple[str, ...] | None = None,
     Entries must be integers; floats and bools are rejected, not truncated.
     """
     cells = np.asarray(rows, dtype=object)
+    if cells.ndim == 1:  # rows of unequal length stay Python sequences
+        for i, row in enumerate(cells):
+            if hasattr(row, "__len__") and len(row) != len(cells):
+                raise ValueError(f"bad group table: row {i} has {len(row)} "
+                                 f"entries, expected {len(cells)}")
     if cells.ndim == 2:
         for (i, j), v in np.ndenumerate(cells):
             if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):

@@ -11,6 +11,11 @@ Two independent routes are kept deliberately separate:
   with no linear algebra anywhere, used to cross-validate the census and to
   cover Z:n coefficients where rank is meaningless.
 
+Both routes read one multiplication table over a basis: table[i, j] is the
+index of b_i * b_j, or n when the product is zero.  A group's Cayley table
+and the matrix units of M_m (E_ij E_kl = [j == k] E_il) are both such
+tables, so group algebras and matrix rings share the code.
+
 Chunk boundaries depend only on the amount of work, so histograms are
 identical for any worker count; partial tables merge by componentwise
 addition.
@@ -28,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffring import CoeffRing
-from .groupring import CapExceeded, SIDES, _check_side, ring_size
+from .groupring import CapExceeded, _batch_ranks, _check_side, ring_size
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
@@ -69,45 +74,23 @@ class AnnihilatorHistogram:
         return Fraction(self.weighted_sum(), self.base ** (2 * n))
 
 
-def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
-    """Ranks of a (B, nrows, ncols) stack by in-place elimination.
-
-    Pivoting picks the first not-yet-used row with a nonzero entry in the
-    current column; rows below the pivot are cleared.  `ops` supplies
-    vectorized field arithmetic on index arrays.
-    """
-    B, nrows, ncols = mats.shape
-    pivot = np.zeros(B, dtype=np.int64)
-    rowidx = np.arange(nrows)
-    for col in range(ncols):
-        cand = (mats[:, :, col] != 0) & (rowidx[None, :] >= pivot[:, None])
-        has = cand.any(axis=1)
-        b = np.nonzero(has)[0]
-        if b.size == 0:
-            continue
-        r0 = pivot[b]
-        r1 = np.argmax(cand[b], axis=1)
-        tmp = mats[b, r0, col:].copy()
-        mats[b, r0, col:] = mats[b, r1, col:]
-        mats[b, r1, col:] = tmp
-        prow = ops.mul(ops.inv(mats[b, r0, col])[:, None], mats[b, r0, col:])
-        mats[b, r0, col:] = prow
-        block = mats[b, :, col:]
-        below = rowidx[None, :] > r0[:, None]
-        fac = np.where(below, block[:, :, 0], 0)
-        block = ops.sub(block, ops.mul(fac[:, :, None], prow[:, None, :]))
-        mats[b, :, col:] = block
-        pivot[b] += 1
-    return pivot
-
-
-def _ann_gather_indices(G: CayleyGroup, side: str) -> np.ndarray:
+def _ann_gather_indices(table: np.ndarray, side: str) -> np.ndarray:
     """Index matrix P such that mats = X[:, P] stacks, per element x with
-    coefficient rows X, the matrix whose kernel is Ann_side(x)."""
-    t = G.table
-    inv = G.inverses
-    right_mult = t[inv].T  # [i, j] = inv(j) * i; kernel of v->v*x is Ann_l
-    left_mult = t[:, inv]  # [i, j] = i * inv(j); kernel of v->x*v is Ann_r
+    coefficient rows X (and a trailing zero column), the matrix whose
+    kernel is Ann_side(x).
+
+    table[a, b] is the index of b_a * b_b, or n for zero; P points at the
+    zero column wherever no basis product lands.  Each row and each column
+    of the table must repeat no entry other than n, as in groups and
+    matrix units, so that every P entry is one basis element.
+    """
+    n = table.shape[0]
+    a, b = np.nonzero(table < n)
+    c = table[a, b]
+    right_mult = np.full((n, n), n, dtype=np.int64)
+    left_mult = np.full((n, n), n, dtype=np.int64)
+    right_mult[c, a] = b  # b_a * b_b = b_c; kernel of v->v*x is Ann_l
+    left_mult[c, b] = a  # kernel of v->x*v is Ann_r
     if side == "left":
         return right_mult
     if side == "right":
@@ -122,19 +105,22 @@ def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _census_rows(size: int, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
-    """Coefficient rows of elements lo..hi: all of K[G], or the slice
-    x_e = 1 whose index j holds (1, base-|K| digits of j)."""
-    if not sliced:
-        return _decode_elements(size, n, lo, hi)
-    X = np.ones((hi - lo, n), dtype=np.int64)
-    X[:, 1:] = _decode_elements(size, n - 1, lo, hi)
+    """Coefficient rows of elements lo..hi plus a zero column for the
+    gather sentinel: all of the algebra, or the slice x_e = 1 whose index
+    j holds (1, base-|K| digits of j)."""
+    X = np.zeros((hi - lo, n + 1), dtype=np.int64)
+    if sliced:
+        X[:, 0] = 1
+        X[:, 1:n] = _decode_elements(size, n - 1, lo, hi)
+    else:
+        X[:, :n] = _decode_elements(size, n, lo, hi)
     return X
 
 
-def _census_chunk(K: CoeffRing, G: CayleyGroup, P: np.ndarray,
-                  lo: int, hi: int, sliced: bool) -> np.ndarray:
+def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
+                  sliced: bool) -> np.ndarray:
     """tab[k, s] = #{x in the chunk : nullity k, support size s}."""
-    n = G.order
+    n = P.shape[1]
     X = _census_rows(K.size, n, lo, hi, sliced)
     ranks = _batch_ranks(X[:, P], K.array_ops())
     support = np.count_nonzero(X, axis=1)
@@ -201,23 +187,35 @@ def annihilator_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
         raise ValueError(
             f"annihilator census needs field coefficients, got {K.spec}; "
             "Z:n probabilities use pair enumeration")
-    total = ring_size(K, G)
+    return _census(K, G.spec, G.table, side, max_elements=max_elements,
+                   workers=workers, sliced=method == "slice")
+
+
+def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
+            max_elements: int, workers: int, sliced: bool) -> AnnihilatorHistogram:
+    """Census of the algebra with basis multiplication `table` (entry n
+    for a zero product) over the field K.
+
+    sliced=True ranks only the slice x_e = 1 and needs a group table:
+    the orbit weights assume every basis element is a unit.
+    """
+    n = table.shape[0]
+    total = K.size**n
     if total > max_elements:
         raise CapExceeded(
             f"census over |K|^n = {total} elements exceeds max_elements={max_elements}")
-    sliced = method == "slice"
     work = total // K.size if sliced else total
     chunks = -(-work // _CHUNK)
     pool = _pool_size(workers, chunks)
     spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
-    P = _ann_gather_indices(G, side)
+    P = _ann_gather_indices(table, side)
     K.array_ops()  # build shared tables once, outside worker threads
     if pool > 1:
         with ThreadPoolExecutor(max_workers=pool) as ex:
-            parts = list(ex.map(lambda s: _census_chunk(K, G, P, *s, sliced), spans))
+            parts = list(ex.map(lambda s: _census_chunk(K, P, *s, sliced), spans))
     else:
-        parts = [_census_chunk(K, G, P, *s, sliced) for s in spans]
-    tab = np.zeros((G.order + 1, G.order + 1), dtype=np.int64)
+        parts = [_census_chunk(K, P, *s, sliced) for s in spans]
+    tab = np.zeros((n + 1, n + 1), dtype=np.int64)
     for part in parts:
         tab += part
     if sliced:
@@ -225,7 +223,7 @@ def annihilator_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     else:
         counts = [int(c) for c in tab.sum(axis=1)]
     assert sum(counts) == total, "defect: census counts do not sum to |K|^n"
-    return AnnihilatorHistogram(G.spec, K.spec, side, K.size, counts)
+    return AnnihilatorHistogram(spec, K.spec, side, K.size, counts)
 
 
 def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
@@ -248,32 +246,51 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     return Fraction(count, total * total)
 
 
-def _zero_product_masks(K: CoeffRing, G: CayleyGroup, a_vec: np.ndarray,
-                        X: np.ndarray, ops, want_ba: bool):
-    """Boolean masks over all b: is a*b = 0 (and b*a = 0 if asked).
+def _zero_product_masks(table: np.ndarray, a_vec: np.ndarray, X: np.ndarray,
+                        ops) -> np.ndarray:
+    """Boolean mask over all b: is a*b = 0.
 
-    Literal convolution: for each group position g with a_g nonzero, the
-    products a_g * b_h are accumulated into position g*h (and h*g for the
-    reversed product).  No ranks, no kernels.
+    Literal convolution: for each basis position g with a_g nonzero, the
+    products a_g * b_h are accumulated into position table[g, h]; column n
+    absorbs the zero products and is ignored.  No ranks, no kernels.
     """
-    t = G.table
-    N = X.shape[0]
-    fwd = np.zeros((N, G.order), dtype=np.int64)
-    rev = np.zeros((N, G.order), dtype=np.int64) if want_ba else None
+    n = table.shape[0]
+    fwd = np.zeros((X.shape[0], n + 1), dtype=np.int64)
     for g, ag in enumerate(a_vec):
         ag = int(ag)
         if ag == 0:
             continue
         contrib = ops.mul(np.int64(ag), X)
-        cols = t[g]
+        cols = table[g]
         fwd[:, cols] = ops.add(fwd[:, cols], contrib)
-        if want_ba:
-            cols_r = t[:, g]
-            rev[:, cols_r] = ops.add(rev[:, cols_r], contrib)
-    ok = ~fwd.any(axis=1)
-    if want_ba:
-        ok &= ~rev.any(axis=1)
-    return ok
+    return ~fwd[:, :n].any(axis=1)
+
+
+def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarray:
+    """Z[a, b] = (a*b == 0) over all element indices, one literal product
+    per ordered pair."""
+    n = table.shape[0]
+    total = K.size**n
+    if total * total > max_pairs:
+        raise CapExceeded(
+            f"naive count over |K|^n squared = {total * total} pairs "
+            f"exceeds max_pairs={max_pairs}")
+    X = _decode_elements(K.size, n, 0, total)
+    ops = K.array_ops()
+    Z = np.empty((total, total), dtype=bool)
+    for a in range(total):
+        Z[a] = _zero_product_masks(table, X[a], X, ops)
+    return Z
+
+
+def _pair_count(K: CoeffRing, table: np.ndarray, relation: str,
+                max_pairs: int) -> int:
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+    Z = _zero_products(K, table, max_pairs)
+    if relation == "ab=0&ba=0":
+        Z = Z & Z.T  # Z.T[a, b] is b*a == 0
+    return int(np.count_nonzero(Z))
 
 
 def pair_count_naive(K: CoeffRing, G: CayleyGroup, relation: str = "ab=0", *,
@@ -283,36 +300,13 @@ def pair_count_naive(K: CoeffRing, G: CayleyGroup, relation: str = "ab=0", *,
     Every ordered pair is evaluated; nothing is shared with the rank-based
     census.  Works over any coefficient ring.
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-    total = ring_size(K, G)
-    if total * total > max_pairs:
-        raise CapExceeded(
-            f"naive count over |K|^n squared = {total * total} pairs "
-            f"exceeds max_pairs={max_pairs}")
-    want_ba = relation == "ab=0&ba=0"
-    X = _decode_elements(K.size, G.order, 0, total)
-    ops = K.array_ops()
-    count = 0
-    for a in range(total):
-        ok = _zero_product_masks(K, G, X[a], X, ops, want_ba)
-        count += int(ok.sum())
-    return count
+    return _pair_count(K, G.table, relation, max_pairs)
 
 
 def zero_product_matrix(K: CoeffRing, G: CayleyGroup, *,
                         max_pairs: int = DEFAULT_MAX_PAIRS) -> np.ndarray:
     """Boolean matrix Z[a, b] = (a*b == 0) over all ring-element indices."""
-    total = ring_size(K, G)
-    if total * total > max_pairs:
-        raise CapExceeded(
-            f"zero-product matrix needs {total * total} pairs, cap is {max_pairs}")
-    X = _decode_elements(K.size, G.order, 0, total)
-    ops = K.array_ops()
-    Z = np.empty((total, total), dtype=bool)
-    for a in range(total):
-        Z[a] = _zero_product_masks(K, G, X[a], X, ops, False)
-    return Z
+    return _zero_products(K, G.table, max_pairs)
 
 
 def pair_count_direct_sum(components, relation: str = "ab=0", *,
@@ -357,34 +351,11 @@ def pair_count_direct_sum(components, relation: str = "ab=0", *,
 
 # --- 2x2 matrix rings -------------------------------------------------
 
-def _m2_decode(q: int, lo: int, hi: int) -> np.ndarray:
-    """Row-major entries (m00, m01, m10, m11) of matrix indices lo..hi."""
-    e = np.arange(lo, hi, dtype=np.int64)
-    pows = q ** np.arange(4, dtype=np.int64)
-    return (e[:, None] // pows[None, :]) % q
-
-
-def _m2_rep(X: np.ndarray, side: str) -> np.ndarray:
-    """Stacked matrices of v -> v*x (side right) or v -> x*v (side left)
-    acting on row-major vectorized 2x2 matrices v."""
-    B = X.shape[0]
-    m00, m01, m10, m11 = (X[:, k] for k in range(4))
-    A = np.zeros((B, 4, 4), dtype=np.int64)
-    if side == "right":
-        # rows of v*x mix columns of x: block diag(x^T, x^T)
-        for r in range(2):
-            A[:, 2 * r + 0, 2 * r + 0] = m00
-            A[:, 2 * r + 0, 2 * r + 1] = m10
-            A[:, 2 * r + 1, 2 * r + 0] = m01
-            A[:, 2 * r + 1, 2 * r + 1] = m11
-    else:
-        # rows of x*v mix rows of v: x kron I2
-        for c in range(2):
-            A[:, 0 + c, 0 + c] = m00
-            A[:, 0 + c, 2 + c] = m01
-            A[:, 2 + c, 0 + c] = m10
-            A[:, 2 + c, 2 + c] = m11
-    return A
+def _matrix_unit_table(m: int) -> np.ndarray:
+    """Multiplication table of M_m on the matrix units E_ij, index i*m + j
+    (row-major entries): E_ij E_kl = E_il if j == k, else zero (m*m)."""
+    i, j = np.divmod(np.arange(m * m), m)
+    return np.where(j[:, None] == i[None, :], i[:, None] * m + j[None, :], m * m)
 
 
 def m2_annihilator_histogram(K: CoeffRing, side: str = "left", *,
@@ -393,26 +364,8 @@ def m2_annihilator_histogram(K: CoeffRing, side: str = "left", *,
     _check_side(side)
     if not K.is_field:
         raise ValueError(f"matrix-ring census needs a field, got {K.spec}")
-    q = K.size
-    total = q**4
-    if total > max_elements:
-        raise CapExceeded(
-            f"census over q^4 = {total} matrices exceeds max_elements={max_elements}")
-    ops = K.array_ops()
-    counts = np.zeros(5, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        X = _m2_decode(q, lo, hi)
-        if side == "left":
-            mats = _m2_rep(X, "right")
-        elif side == "right":
-            mats = _m2_rep(X, "left")
-        else:
-            mats = np.concatenate([_m2_rep(X, "right"), _m2_rep(X, "left")], axis=1)
-        ranks = _batch_ranks(mats, ops)
-        counts += np.bincount(4 - ranks, minlength=5)
-    assert int(counts.sum()) == total
-    return AnnihilatorHistogram("M2", K.spec, side, q, [int(c) for c in counts])
+    return _census(K, "M2", _matrix_unit_table(2), side,
+                   max_elements=max_elements, workers=1, sliced=False)
 
 
 def m2_nullity_probability(K: CoeffRing, side: str = "left", *,
@@ -423,40 +376,9 @@ def m2_nullity_probability(K: CoeffRing, side: str = "left", *,
 def m2_pair_count_naive(K: CoeffRing, relation: str = "ab=0", *,
                         max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Zero-pair count in the 2x2 matrix ring by literal matrix products."""
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     if not K.is_field:
         raise ValueError(f"matrix-ring count needs a field, got {K.spec}")
-    q = K.size
-    total = q**4
-    if total * total > max_pairs:
-        raise CapExceeded(
-            f"naive count over q^8 = {total * total} pairs exceeds max_pairs={max_pairs}")
-    ops = K.array_ops()
-    X = _m2_decode(q, 0, total)
-    want_ba = relation == "ab=0&ba=0"
-
-    def prod_is_zero(a, B):
-        # entries of a @ B[b] for every b, spelled out
-        c00 = ops.add(ops.mul(a[0], B[:, 0]), ops.mul(a[1], B[:, 2]))
-        c01 = ops.add(ops.mul(a[0], B[:, 1]), ops.mul(a[1], B[:, 3]))
-        c10 = ops.add(ops.mul(a[2], B[:, 0]), ops.mul(a[3], B[:, 2]))
-        c11 = ops.add(ops.mul(a[2], B[:, 1]), ops.mul(a[3], B[:, 3]))
-        return (c00 == 0) & (c01 == 0) & (c10 == 0) & (c11 == 0)
-
-    count = 0
-    for a in range(total):
-        av = X[a]
-        ok = prod_is_zero(av, X)
-        if want_ba:
-            # b @ a for every b: reuse the same helper with roles swapped
-            d00 = ops.add(ops.mul(X[:, 0], av[0]), ops.mul(X[:, 1], av[2]))
-            d01 = ops.add(ops.mul(X[:, 0], av[1]), ops.mul(X[:, 1], av[3]))
-            d10 = ops.add(ops.mul(X[:, 2], av[0]), ops.mul(X[:, 3], av[2]))
-            d11 = ops.add(ops.mul(X[:, 2], av[1]), ops.mul(X[:, 3], av[3]))
-            ok &= (d00 == 0) & (d01 == 0) & (d10 == 0) & (d11 == 0)
-        count += int(ok.sum())
-    return count
+    return _pair_count(K, _matrix_unit_table(2), relation, max_pairs)
 
 
 # --- record emission --------------------------------------------------
@@ -464,21 +386,29 @@ def m2_pair_count_naive(K: CoeffRing, relation: str = "ab=0", *,
 _SIDE_LABEL = {"left": "|ann_l|", "right": "|ann_r|", "twosided": "|ann|"}
 
 
-def histogram_record(hist: AnnihilatorHistogram,
-                     elapsed_ms: int | None = None) -> dict:
-    """The census as a plain dict ready for JSON emission."""
-    prob = hist.probability()
-    record = {
-        "group": hist.group,
-        "coeff": hist.coeff,
-        "side": hist.side,
-        "ann_sizes": hist.annihilator_sizes(),
-        "counts": list(hist.counts),
-        "probability": {"num": prob.numerator, "den": prob.denominator},
-    }
+def _fraction_json(value: Fraction) -> dict:
+    """An exact rational as a JSON object."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
+def _record(group: str, coeff: str, side: str, prob: Fraction,
+            hist: AnnihilatorHistogram | None, elapsed_ms: int | None) -> dict:
+    """A probability record; a census adds its sizes and counts."""
+    record = {"group": group, "coeff": coeff, "side": side}
+    if hist is not None:
+        record["ann_sizes"] = hist.annihilator_sizes()
+        record["counts"] = list(hist.counts)
+    record["probability"] = _fraction_json(prob)
     if elapsed_ms is not None:
         record["elapsed_ms"] = elapsed_ms
     return record
+
+
+def histogram_record(hist: AnnihilatorHistogram,
+                     elapsed_ms: int | None = None) -> dict:
+    """The census as a plain dict ready for JSON emission."""
+    return _record(hist.group, hist.coeff, hist.side, hist.probability(), hist,
+                   elapsed_ms)
 
 
 def record_json(record: dict) -> str:

@@ -198,3 +198,11 @@ def test_argparse_rejects_unknown_subcommand():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_ragged_group_file_names_the_short_row(capsys, tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text("[[0, 1], [1]]")
+    code, _, err = run(capsys, "oracle", "--coeff", "F:2", "--group", f"@{path}")
+    assert code == 1
+    assert "bad group table: row 1 has 1 entries, expected 2" in err

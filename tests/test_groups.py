@@ -138,3 +138,11 @@ def test_table_is_frozen():
     G = cyclic(5)
     with pytest.raises(ValueError):
         G.table[0, 0] = 3
+
+
+def test_from_table_rejects_ragged_rows():
+    with pytest.raises(ValueError,
+                       match="bad group table: row 1 has 1 entries, expected 2"):
+        from_table([[0, 1], [1]])
+    with pytest.raises(ValueError, match="row 2 has 2 entries, expected 3"):
+        from_table([[0, 1, 2], [1, 2, 0], [2, 0]])

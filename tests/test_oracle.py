@@ -16,6 +16,9 @@ from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             pair_count_direct_sum, pair_count_naive,
                             record_json, record_text, timed_histogram,
                             zero_product_matrix)
+from nullity.groupring import element_vector, gr_multiply
+from nullity.oracle import (_ann_gather_indices, _census, _matrix_unit_table,
+                            _pair_count)
 
 # Census values below were frozen from independent runs of this engine and
 # cross-checked against the literal pair counters; they guard regressions.
@@ -282,3 +285,40 @@ def test_relation_validation():
         pair_count_naive(field(2), cyclic(2), "a=b")
     with pytest.raises(ValueError, match="side"):
         annihilator_histogram(field(2), cyclic(2), "up")
+
+
+M3_COUNTS = {2: [168, 0, 0, 294, 0, 0, 49, 0, 0, 1],  # 168 = |GL_3(F_2)|
+             3: [11232, 0, 0, 8112, 0, 0, 338, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("q", sorted(M3_COUNTS))
+def test_matrix_unit_table_runs_the_census_for_m3(q):
+    hist = _census(field(q), "M3", _matrix_unit_table(3), "left",
+                   max_elements=q**9, workers=1, sliced=False)
+    assert hist.counts == M3_COUNTS[q]
+
+
+def test_m3_weighted_sum_equals_literal_pair_count():
+    K, table = field(2), _matrix_unit_table(3)
+    hist = _census(K, "M3", table, "left", max_elements=2**9, workers=1,
+                   sliced=False)
+    assert _pair_count(K, table, "ab=0", 2**18) == hist.weighted_sum()
+
+
+@pytest.mark.parametrize("group", ["S3", "Q8", "C2xC2"])
+def test_table_gather_matches_group_inverse_form(group):
+    G = group_from_spec(group)
+    t, inv = G.table, G.inverses
+    assert np.array_equal(_ann_gather_indices(t, "left"), t[inv].T)
+    assert np.array_equal(_ann_gather_indices(t, "right"), t[:, inv])
+    assert np.array_equal(_ann_gather_indices(t, "twosided"),
+                          np.vstack([t[inv].T, t[:, inv]]))
+
+
+def test_twosided_pair_count_equals_brute_double_loop():
+    K, G = field(2), s3()
+    elems = [element_vector(K, G, e) for e in range(ring_size(K, G))]
+    zero = (0,) * G.order
+    brute = sum(1 for a in elems for b in elems
+                if gr_multiply(K, G, a, b) == zero == gr_multiply(K, G, b, a))
+    assert pair_count_naive(K, G, "ab=0&ba=0") == brute
