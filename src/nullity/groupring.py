@@ -6,14 +6,18 @@ tuple (x_0, ..., x_{n-1}) stands for sum x_g * g.  Whole-ring elements are
 also addressable by a single index with base-|K| digits, little-endian in
 the group position (see :func:`element_vector`).
 
+This module owns the basis table that :mod:`nullity.oracle` reads too:
+table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
+the gather index, element decoding, literal zero-product masks and the
+batched rank kernel.
+
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
 computed from the side="right" regular matrix, and vice versa.
+:func:`regular_matrix` returns that matrix as an int64 ndarray.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,53 +75,68 @@ def gr_multiply(K: CoeffRing, G: CayleyGroup, a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gr_add(K: CoeffRing, G: CayleyGroup, a, b) -> tuple[int, ...]:
-    _check_vector(G, a)
-    _check_vector(G, b)
-    return tuple(K.add(x, y) for x, y in zip(a, b))
+def _ann_gather_indices(table: np.ndarray, side: str) -> np.ndarray:
+    """Index matrix P such that mats = X[:, P] stacks, per element x with
+    coefficient rows X (and a trailing zero column), the matrix whose
+    kernel is Ann_side(x).
 
-
-@dataclass(frozen=True)
-class RepMatrix:
-    """A regular-representation matrix over K, entries as ring indices.
-
-    side="left" represents v -> x*v; side="right" represents v -> v*x.
+    table[a, b] is the index of b_a * b_b, or n for zero; P points at the
+    zero column wherever no basis product lands.  Each row and each column
+    of the table must repeat no entry other than n, as in groups and
+    matrix units, so that every P entry is one basis element.
     """
-    entries: np.ndarray
-    side: str
+    n = table.shape[0]
+    a, b = np.nonzero(table < n)
+    c = table[a, b]
+    right_mult = np.full((n, n), n, dtype=np.int64)
+    left_mult = np.full((n, n), n, dtype=np.int64)
+    right_mult[c, a] = b  # b_a * b_b = b_c; kernel of v->v*x is Ann_l
+    left_mult[c, b] = a  # kernel of v->x*v is Ann_r
+    if side == "left":
+        return right_mult
+    if side == "right":
+        return left_mult
+    return np.vstack([right_mult, left_mult])
 
 
-def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> RepMatrix:
+def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
+    e = np.arange(lo, hi, dtype=np.int64)
+    pows = size ** np.arange(n, dtype=np.int64)
+    return (e[:, None] // pows[None, :]) % size
+
+
+def _zero_product_masks(table: np.ndarray, a_vec: np.ndarray, X: np.ndarray,
+                        ops) -> np.ndarray:
+    """Boolean mask over all b: is a*b = 0.
+
+    Literal convolution: for each basis position g with a_g nonzero, the
+    products a_g * b_h are accumulated into position table[g, h]; column n
+    absorbs the zero products and is ignored.  No ranks, no kernels.
+    """
+    n = table.shape[0]
+    fwd = np.zeros((X.shape[0], n + 1), dtype=np.int64)
+    for g, ag in enumerate(a_vec):
+        ag = int(ag)
+        if ag == 0:
+            continue
+        contrib = ops.mul(np.int64(ag), X)
+        cols = table[g]
+        fwd[:, cols] = ops.add(fwd[:, cols], contrib)
+    return ~fwd[:, :n].any(axis=1)
+
+
+def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
     """Matrix of multiplication by x acting on coefficient columns.
 
     For side="right", entry [i][j] is the coefficient of g_i in g_j * x,
     so the kernel is Ann_l(x); side="left" mirrors this with kernel
-    Ann_r(x).
+    Ann_r(x).  This is the census gather for the kernel's side.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _check_vector(G, x)
-    n = G.order
-    t = G.table
-    M = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        for g, xg in enumerate(x):
-            if xg:
-                i = t[j, g] if side == "right" else t[g, j]
-                M[i, j] = xg
-    return RepMatrix(M, side)
-
-
-def apply_matrix(K: CoeffRing, M: RepMatrix, v) -> tuple[int, ...]:
-    """M acting on a coefficient column, scalar arithmetic in K."""
-    n = M.entries.shape[0]
-    out = []
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc = K.add(acc, K.mul(int(M.entries[i, j]), v[j]))
-        out.append(acc)
-    return tuple(out)
+    P = _ann_gather_indices(G.table, "left" if side == "right" else "right")
+    return np.array([*x, 0], dtype=np.int64)[P]
 
 
 def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
@@ -173,13 +192,7 @@ def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,
     _check_vector(G, x)
     if not K.is_field:
         return annihilator_size_by_enumeration(K, G, x, side, cap=max_enumeration)
-    if side == "left":
-        M = regular_matrix(K, G, x, "right").entries
-    elif side == "right":
-        M = regular_matrix(K, G, x, "left").entries
-    else:
-        M = np.vstack([regular_matrix(K, G, x, "right").entries,
-                       regular_matrix(K, G, x, "left").entries])
+    M = np.array([*x, 0], dtype=np.int64)[_ann_gather_indices(G.table, side)]
     return K.size ** (G.order - matrix_rank(K, M))
 
 
@@ -189,6 +202,8 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     """|Ann_side(x)| by testing every candidate annihilator directly.
 
     Works over any coefficient ring; used as the rank-free cross-check.
+    Each candidate a is one literal product: the transposed table gives
+    a*x, the table gives x*a.
     """
     _check_side(side)
     _check_vector(G, x)
@@ -196,14 +211,11 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     if total > cap:
         raise CapExceeded(
             f"enumeration over |K|^n = {total} candidates exceeds cap {cap}")
-    zero = (0,) * G.order
-    x = tuple(x)
-    count = 0
-    for e in range(total):
-        alpha = element_vector(K, G, e)
-        if side in ("left", "twosided") and gr_multiply(K, G, alpha, x) != zero:
-            continue
-        if side in ("right", "twosided") and gr_multiply(K, G, x, alpha) != zero:
-            continue
-        count += 1
-    return count
+    X = _decode_elements(K.size, G.order, 0, total)
+    ops = K.array_ops()
+    zero = np.ones(total, dtype=bool)
+    if side in ("left", "twosided"):
+        zero &= _zero_product_masks(G.table.T, x, X, ops)
+    if side in ("right", "twosided"):
+        zero &= _zero_product_masks(G.table, x, X, ops)
+    return int(np.count_nonzero(zero))

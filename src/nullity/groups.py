@@ -161,9 +161,11 @@ def from_table(rows, *, names: tuple[str, ...] | None = None,
     Entries must be integers; floats and bools are rejected, not truncated.
     """
     cells = np.asarray(rows, dtype=object)
-    if cells.ndim == 1:  # rows of unequal length stay Python sequences
+    if cells.ndim == 1:  # ragged or bare-scalar rows stay Python objects
         for i, row in enumerate(cells):
-            if hasattr(row, "__len__") and len(row) != len(cells):
+            if not hasattr(row, "__len__"):
+                raise ValueError(f"bad group table: row {i} is not a sequence")
+            if len(row) != len(cells):
                 raise ValueError(f"bad group table: row {i} has {len(row)} "
                                  f"entries, expected {len(cells)}")
     if cells.ndim == 2:

@@ -14,7 +14,9 @@ Two independent routes are kept deliberately separate:
 Both routes read one multiplication table over a basis: table[i, j] is the
 index of b_i * b_j, or n when the product is zero.  A group's Cayley table
 and the matrix units of M_m (E_ij E_kl = [j == k] E_il) are both such
-tables, so group algebras and matrix rings share the code.
+tables, so group algebras and matrix rings share the code.  The table
+helpers (gather index, element decoding, literal zero-product masks, rank
+kernel) live in :mod:`nullity.groupring`.
 
 Chunk boundaries depend only on the amount of work, so histograms are
 identical for any worker count; partial tables merge by componentwise
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffring import CoeffRing
-from .groupring import CapExceeded, _batch_ranks, _check_side, ring_size
+from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
+                        _check_side, _decode_elements, _zero_product_masks,
+                        ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
@@ -72,36 +75,6 @@ class AnnihilatorHistogram:
     def probability(self) -> Fraction:
         n = self.dimension
         return Fraction(self.weighted_sum(), self.base ** (2 * n))
-
-
-def _ann_gather_indices(table: np.ndarray, side: str) -> np.ndarray:
-    """Index matrix P such that mats = X[:, P] stacks, per element x with
-    coefficient rows X (and a trailing zero column), the matrix whose
-    kernel is Ann_side(x).
-
-    table[a, b] is the index of b_a * b_b, or n for zero; P points at the
-    zero column wherever no basis product lands.  Each row and each column
-    of the table must repeat no entry other than n, as in groups and
-    matrix units, so that every P entry is one basis element.
-    """
-    n = table.shape[0]
-    a, b = np.nonzero(table < n)
-    c = table[a, b]
-    right_mult = np.full((n, n), n, dtype=np.int64)
-    left_mult = np.full((n, n), n, dtype=np.int64)
-    right_mult[c, a] = b  # b_a * b_b = b_c; kernel of v->v*x is Ann_l
-    left_mult[c, b] = a  # kernel of v->x*v is Ann_r
-    if side == "left":
-        return right_mult
-    if side == "right":
-        return left_mult
-    return np.vstack([right_mult, left_mult])
-
-
-def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
-    e = np.arange(lo, hi, dtype=np.int64)
-    pows = size ** np.arange(n, dtype=np.int64)
-    return (e[:, None] // pows[None, :]) % size
 
 
 def _census_rows(size: int, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
@@ -244,26 +217,6 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     total = ring_size(K, G)
     count = pair_count_naive(K, G, relation, max_pairs=max_pairs)
     return Fraction(count, total * total)
-
-
-def _zero_product_masks(table: np.ndarray, a_vec: np.ndarray, X: np.ndarray,
-                        ops) -> np.ndarray:
-    """Boolean mask over all b: is a*b = 0.
-
-    Literal convolution: for each basis position g with a_g nonzero, the
-    products a_g * b_h are accumulated into position table[g, h]; column n
-    absorbs the zero products and is ignored.  No ranks, no kernels.
-    """
-    n = table.shape[0]
-    fwd = np.zeros((X.shape[0], n + 1), dtype=np.int64)
-    for g, ag in enumerate(a_vec):
-        ag = int(ag)
-        if ag == 0:
-            continue
-        contrib = ops.mul(np.int64(ag), X)
-        cols = table[g]
-        fwd[:, cols] = ops.add(fwd[:, cols], contrib)
-    return ~fwd[:, :n].any(axis=1)
 
 
 def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarray:
@@ -425,13 +378,3 @@ def record_text(record: dict) -> str:
     return (f"rec(Size := [ {counts} ],\n"
             f"    {label}:=[ {sizes} ], group := \"{record['group']}\", "
             f"p := {num}/{den})")
-
-
-def timed_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS,
-                    workers: int = 1) -> tuple[AnnihilatorHistogram, int]:
-    """Census plus wall-clock milliseconds, for record emission."""
-    t0 = time.perf_counter()
-    hist = annihilator_histogram(K, G, side, max_elements=max_elements,
-                                 workers=workers)
-    return hist, int((time.perf_counter() - t0) * 1000)

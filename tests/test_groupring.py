@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nullity.coeffring import field, integers_mod
-from nullity.groupring import (CapExceeded, annihilator_size,
+from nullity.coeffring import field, integers_mod, ring_from_spec
+from nullity.groupring import (CapExceeded, _decode_elements,
+                               _zero_product_masks, annihilator_size,
                                annihilator_size_by_enumeration,
-                               apply_matrix, element_index, element_vector,
-                               gr_add, gr_multiply, matrix_rank,
-                               regular_matrix, ring_size)
+                               element_index, element_vector, gr_multiply,
+                               matrix_rank, regular_matrix, ring_size)
 from nullity.groups import cyclic, group_from_spec, q8, s3
 
 
@@ -31,7 +31,6 @@ def test_convolution_multiplication():
     one_plus_g = (1, 1)
     # (1 + g)^2 = 1 + 2g + g^2 = 0 in characteristic 2
     assert gr_multiply(K, G, one_plus_g, one_plus_g) == (0, 0)
-    assert gr_add(K, G, (1, 0), (1, 1)) == (0, 1)
 
     K5, G3 = field(5), cyclic(3)
     a = (1, 2, 0)
@@ -54,16 +53,17 @@ def test_regular_matrix_identity_and_shape():
     e = (1, 0, 0, 0, 0, 0)
     for side in ("left", "right"):
         M = regular_matrix(K, G, e, side)
-        assert np.array_equal(M.entries, np.eye(6, dtype=np.int64))
+        assert np.array_equal(M, np.eye(6, dtype=np.int64))
     x = (0, 3, 0, 0, 2, 0)
     for side in ("left", "right"):
         M = regular_matrix(K, G, x, side)
         # columns are x*g_j (left) or g_j*x (right), so each column holds
         # the coefficients of x permuted by the group action
-        assert sorted(M.entries[:, 0]) == [0, 0, 0, 0, 2, 3]
+        assert sorted(M[:, 0]) == [0, 0, 0, 0, 2, 3]
 
 
-def test_apply_matrix_matches_direct_product():
+def test_regular_matrix_matches_direct_product():
+    # F_5 is prime, so integer arithmetic mod 5 is the field's
     K, G = field(5), q8()
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -71,16 +71,16 @@ def test_apply_matrix_matches_direct_product():
         v = tuple(int(v) for v in rng.integers(0, 5, size=8))
         L = regular_matrix(K, G, x, "left")
         R = regular_matrix(K, G, x, "right")
-        assert apply_matrix(K, L, v) == gr_multiply(K, G, x, v)
-        assert apply_matrix(K, R, v) == gr_multiply(K, G, v, x)
+        assert tuple(L @ v % 5) == gr_multiply(K, G, x, v)
+        assert tuple(R @ v % 5) == gr_multiply(K, G, v, x)
 
 
 def test_all_ones_element_rank():
     # the all-ones element of F_2[C_2] has the all-ones matrix, rank 1
     K, G = field(2), cyclic(2)
     M = regular_matrix(K, G, (1, 1), "right")
-    assert np.array_equal(M.entries, np.ones((2, 2), dtype=np.int64))
-    assert matrix_rank(K, M.entries) == 1
+    assert np.array_equal(M, np.ones((2, 2), dtype=np.int64))
+    assert matrix_rank(K, M) == 1
     assert annihilator_size(K, G, (1, 1), "left") == 2
 
 
@@ -102,6 +102,33 @@ def test_rank_route_equals_enumeration_route(side):
         by_rank = annihilator_size(K, G, x, side)
         by_enum = annihilator_size_by_enumeration(K, G, x, side)
         assert by_rank == by_enum
+    # F:3^8 has no dense tables: the masks run on scalar field arithmetic
+    K, G = field(3, 8), cyclic(1)
+    for x in ((0,), (5,)):
+        assert (annihilator_size(K, G, x, side)
+                == annihilator_size_by_enumeration(K, G, x, side))
+
+
+@pytest.mark.parametrize("coeff, group, xs", [
+    ("F:3", "S3", [(0, 1, 0, 0, 2, 0), (1, 0, 2, 0, 0, 1), (0, 2, 2, 0, 0, 2)]),
+    ("Z:4", "S3", [(2, 1, 0, 0, 3, 0), (0, 2, 2, 0, 0, 2)]),
+    ("F:4", "C2xC2", [(1, 2, 3, 0), (1, 1, 1, 1), (0, 3, 0, 2)]),
+])
+def test_zero_product_masks_orientation(coeff, group, xs):
+    # the transposed table tests a*x = 0, the table x*a = 0; S3 cases pick
+    # x whose left and right masks differ, so a swap would fail here
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    n, total = G.order, ring_size(K, G)
+    X = _decode_elements(K.size, n, 0, total)
+    zero = (0,) * n
+    elements = [element_vector(K, G, e) for e in range(total)]
+    for x in xs:
+        left = _zero_product_masks(G.table.T, x, X, K.array_ops())
+        right = _zero_product_masks(G.table, x, X, K.array_ops())
+        assert left.tolist() == [gr_multiply(K, G, a, x) == zero for a in elements]
+        assert right.tolist() == [gr_multiply(K, G, x, a) == zero for a in elements]
+        if group == "S3":
+            assert not np.array_equal(left, right)
 
 
 def test_rank_nullity_relation():
@@ -110,7 +137,7 @@ def test_rank_nullity_relation():
     for _ in range(25):
         x = tuple(int(v) for v in rng.integers(0, 3, size=6))
         M = regular_matrix(K, G, x, "right")
-        r = matrix_rank(K, M.entries)
+        r = matrix_rank(K, M)
         assert annihilator_size(K, G, x, "left") == 3 ** (6 - r)
 
 

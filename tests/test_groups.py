@@ -146,3 +146,10 @@ def test_from_table_rejects_ragged_rows():
         from_table([[0, 1], [1]])
     with pytest.raises(ValueError, match="row 2 has 2 entries, expected 3"):
         from_table([[0, 1, 2], [1, 2, 0], [2, 0]])
+
+
+def test_from_table_rejects_bare_integer_rows():
+    with pytest.raises(ValueError, match="bad group table: row 1 is not a sequence"):
+        from_table([[0, 1], 1])
+    with pytest.raises(ValueError, match="row 0 is not a sequence"):
+        from_table([0, [1, 0]])

@@ -14,7 +14,7 @@ from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_nullity_probability,
                             m2_pair_count_naive, nullity_probability,
                             pair_count_direct_sum, pair_count_naive,
-                            record_json, record_text, timed_histogram,
+                            record_json, record_text,
                             zero_product_matrix)
 from nullity.groupring import element_vector, gr_multiply
 from nullity.oracle import (_ann_gather_indices, _census, _matrix_unit_table,
@@ -217,12 +217,6 @@ def test_record_text_layout():
         'rec(Size := [ 12, 6, 24, 9, 11, 1, 1 ],\n'
         '    |ann_l|:=[ 1, 2, 4, 8, 16, 32, 64 ], group := "S3", '
         'p := 29/256)')
-
-
-def test_timed_histogram_returns_elapsed():
-    hist, ms = timed_histogram(field(2), cyclic(2))
-    assert hist.counts == [2, 1, 1]
-    assert ms >= 0
 
 
 def test_matrix_ring_census_q2():
