@@ -109,9 +109,9 @@ def cmd_formula(args) -> int:
             print(f"no {args.variant} variant for this instance", file=sys.stderr)
             return 1
     if args.format == "json":
-        print(json.dumps([{"value": _fraction_json(r.value),
-                           "variant": r.variant, "provenance": r.provenance}
-                          for r in results]))
+        print(json.dumps([{"value": r.value, "variant": r.variant,
+                           "provenance": r.provenance} for r in results],
+                         default=_fraction_json))
     else:
         for r in results:
             print(f"P_{args.side} = {show(r.value)}  [{r.variant}: {r.provenance}]")
@@ -143,11 +143,7 @@ def cmd_compare(args) -> int:
                      "formula": r.value, "oracle": ocl, "match": match,
                      "note": note})
     if args.format == "json":
-        print(json.dumps([{"variant": w["variant"], "provenance": w["provenance"],
-                           "formula": _fraction_json(w["formula"]),
-                           "oracle": _fraction_json(w["oracle"]),
-                           "match": w["match"], "note": w["note"]}
-                          for w in rows]))
+        print(json.dumps(rows, default=_fraction_json))
     else:
         print(f"{K.spec} {G.spec} side={args.side}   oracle = {show(ocl)}")
         for w in rows:
@@ -183,11 +179,7 @@ def cmd_table1(args) -> int:
                      "pair": pair, "twosided": two, "status": status,
                      "erratum": key})
     if args.format == "json":
-        print(json.dumps([{**r,
-                           "printed": _fraction_json(r["printed"]),
-                           "pair": _fraction_json(r["pair"]),
-                           "twosided": _fraction_json(r["twosided"])}
-                          for r in rows]))
+        print(json.dumps(rows, default=_fraction_json))
     else:
         print(f"{'#':>2} {'ring':18s} {'printed':16s} {'computed':34s} status")
         for i, r in enumerate(rows, 1):
@@ -207,7 +199,11 @@ def cmd_table1(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    threshold = Fraction(args.threshold)
+    try:
+        threshold = Fraction(args.threshold)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"threshold {args.threshold!r} has a zero denominator") from None
     instances = formulas.default_sweep_instances(args.bound)
     report = formulas.classify_threshold(instances, threshold,
                                          max_elements=args.max_elements,
@@ -219,12 +215,10 @@ def cmd_catalog(args) -> int:
     supported_inside = formulas.gap_check(values, Fraction(21, 64), Fraction(1, 2))
     if args.format == "json":
         out = {
-            "threshold": _fraction_json(threshold),
+            "threshold": threshold,
             "entries": [{
                 "coeff": e.coeff, "group": e.group,
-                "pair": None if e.p_pair is None else _fraction_json(e.p_pair),
-                "twosided": None if e.p_twosided is None else
-                    _fraction_json(e.p_twosided),
+                "pair": e.p_pair, "twosided": e.p_twosided,
                 "skipped": e.skipped,
                 "selected": e in report.selected,
             } for e in report.entries],
@@ -234,7 +228,7 @@ def cmd_catalog(args) -> int:
                 "supported_interval_clear": not supported_inside,
             },
         }
-        print(json.dumps(out))
+        print(json.dumps(out, default=_fraction_json))
         return 0
     print(f"catalog sweep: {len(report.entries)} instances, "
           f"threshold {threshold} (~{decimal_str(threshold)})")

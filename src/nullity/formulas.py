@@ -1,6 +1,10 @@
 """Closed-form zero-product probabilities and the structure data behind
-them: cyclic decompositions, unit counts, histogram predictions, and the
-threshold classifier over instance catalogs.
+them, and the threshold classifier over instance catalogs.
+
+F_q[C_n] has one decomposition, `cyclic_components`: a direct sum of chain
+rings F_{q^d}[y]/(y^L), fields when L = 1.  Every cyclic probability (by
+the product rule), histogram prediction (a product of component
+polynomials) and unit count reads it.
 
 Every probability is an exact Fraction.  Results carry a `variant` tag:
 "printed" evaluates a published polynomial exactly as typeset, "derived"
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from . import oracle
 from .coeffring import CoeffRing, prime_power_decomposition, ring_from_spec
-from .groupring import CapExceeded
+from .groupring import CapExceeded, _check_side
 from .groups import CayleyGroup, group_from_spec
 
 PRINTED = "printed"
@@ -83,42 +87,31 @@ def _as_prime_power(q: int) -> tuple[int, int]:
     return pm
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
-    """F_q[C_n] for gcd(n, q) = 1 as a sum of fields F_{q^d}^e.
-
-    `parts` maps each divisor l of n (including l = 1) to (d_l, e_l) with
-    d_l the multiplicative order of q mod l and e_l = phi(l)/d_l; the
-    summands for l are e_l copies of F_{q^{d_l}}.
-    """
-    q: int
-    n: int
-    parts: dict[int, tuple[int, int]]
-
-    def field_sizes(self) -> list[int]:
-        """Component field sizes, one entry per summand, divisors ascending."""
-        out = []
-        for l in sorted(self.parts):
-            d, e = self.parts[l]
-            out.extend([self.q**d] * e)
-        return out
-
-    def dimension(self) -> int:
-        return sum(d * e for d, e in self.parts.values())
-
-
-def cyclic_decomposition(q: int, n: int) -> CyclicDecomposition:
-    _as_prime_power(q)
+def _p_part(q: int, n: int) -> tuple[int, int]:
+    """(L, m) with n = L*m and L the largest power of char(q) dividing n."""
+    p, _ = _as_prime_power(q)
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
-    if math.gcd(q, n) != 1:
-        raise ValueError(
-            f"semisimple decomposition needs gcd(q, n) = 1, got q={q}, n={n}")
-    parts = {}
-    for l in divisors(n):
+    L, m = 1, n
+    while m % p == 0:
+        L, m = L * p, m // p
+    return L, m
+
+
+def cyclic_components(q: int, n: int) -> list[tuple[int, int]]:
+    """F_q[C_n] as a sum of chain rings F_{q^d}[y]/(y^L), one (d, L) pair
+    per summand, divisors ascending.
+
+    With n = L*m and L the p-part of n, each divisor l of m gives
+    phi(l)/d copies, d the multiplicative order of q mod l.  L = 1 is the
+    semisimple case (every summand a field), m = 1 the single chain ring.
+    """
+    L, m = _p_part(q, n)
+    out = []
+    for l in divisors(m):
         d = multiplicative_order(q, l)
-        parts[l] = (d, euler_phi(l) // d)
-    return CyclicDecomposition(q, n, parts)
+        out += [(d, L)] * (euler_phi(l) // d)
+    return out
 
 
 def p_field(q: int) -> Fraction:
@@ -135,11 +128,25 @@ def product_rule(probs) -> Fraction:
     return out
 
 
+def _cyclic_probability(q: int, n: int) -> Fraction:
+    """P(F_q[C_n]) by the product rule over the chain-ring summands; by
+    ideal, F_r[y]/(y^L) gives (r + L(r-1)) / r^(L+1), and L = 1 is the
+    field value (2r-1)/r^2."""
+    return product_rule(Fraction(q**d + L * (q**d - 1), q**(d * (L + 1)))
+                        for d, L in cyclic_components(q, n))
+
+
+def _check_coprime(q: int, n: int) -> None:
+    if _p_part(q, n)[0] != 1:
+        raise ValueError(
+            f"semisimple decomposition needs gcd(q, n) = 1, got q={q}, n={n}")
+
+
 def p_cyclic_semisimple(q: int, n: int) -> FormulaResult:
     """P(F_q[C_n]) for gcd(n, q) = 1 via the field decomposition."""
-    dec = cyclic_decomposition(q, n)
-    value = product_rule(p_field(s) for s in dec.field_sizes())
-    return FormulaResult(value, PRINTED, f"cyclic coprime product, q={q}, n={n}")
+    _check_coprime(q, n)
+    return FormulaResult(_cyclic_probability(q, n), PRINTED,
+                         f"cyclic coprime product, q={q}, n={n}")
 
 
 def p_cyclic_chain(q: int, n: int) -> FormulaResult:
@@ -148,16 +155,11 @@ def p_cyclic_chain(q: int, n: int) -> FormulaResult:
     F_q[C_{p^k}] = F_q[y]/(y^n) is a chain ring; counting by ideal gives
     (q + n(q-1)) / q^(n+1).
     """
-    p, _ = _as_prime_power(q)
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
-    nn = n
-    while nn % p == 0:
-        nn //= p
-    if nn != 1:
+    if _p_part(q, n)[1] != 1:
         raise ValueError(
-            f"chain-ring form needs n to be a power of char {p}, got n={n}")
-    return FormulaResult(Fraction(q + n * (q - 1), q**(n + 1)), DERIVED,
+            f"chain-ring form needs n to be a power of char "
+            f"{_as_prime_power(q)[0]}, got n={n}")
+    return FormulaResult(_cyclic_probability(q, n), DERIVED,
                          f"chain-ring count, q={q}, n={n}")
 
 
@@ -167,43 +169,37 @@ def chain_histogram_counts(q: int, n: int) -> list[int]:
     return [q**(n - 1 - k) * (q - 1) for k in range(n)] + [1]
 
 
-def semisimple_histogram_counts(q: int, n: int) -> list[int]:
-    """Predicted census counts for F_q[C_n], gcd(n, q) = 1.
+def cyclic_histogram_counts(q: int, n: int) -> list[int]:
+    """Predicted census counts for F_q[C_n], any n.
 
-    An element annihilates by its zero components; the counts are the
-    coefficients of prod over summands of ((size - 1) + z^dim).
+    An element annihilates summand by summand, so the counts are the
+    product of the chain-ring polynomials, the one for F_{q^d} with its
+    indices scaled by d.
     """
-    dec = cyclic_decomposition(q, n)
     poly = [1]
-    for l in sorted(dec.parts):
-        d, e = dec.parts[l]
-        size = q**d
-        for _ in range(e):
-            nxt = [0] * (len(poly) + d)
-            for k, c in enumerate(poly):
-                nxt[k] += c * (size - 1)
-                nxt[k + d] += c
-            poly = nxt
+    for d, L in cyclic_components(q, n):
+        nxt = [0] * (len(poly) + d * L)
+        for j, c in enumerate(chain_histogram_counts(q**d, L)):
+            for k, a in enumerate(poly):
+                nxt[k + d * j] += a * c
+        poly = nxt
     return poly
+
+
+def semisimple_histogram_counts(q: int, n: int) -> list[int]:
+    """Predicted census counts for F_q[C_n], gcd(n, q) = 1."""
+    _check_coprime(q, n)
+    return cyclic_histogram_counts(q, n)
 
 
 def unit_count_cyclic(q: int, n: int) -> int:
     """|U(F_q[C_n])| in the coprime and char-power regimes."""
-    p, m = _as_prime_power(q)
-    if math.gcd(q, n) == 1:
-        dec = cyclic_decomposition(q, n)
-        out = 1
-        for s in dec.field_sizes():
-            out *= s - 1
-        return out
-    nn = n
-    while nn % p == 0:
-        nn //= p
-    if nn == 1:
-        return (q - 1) * q**(n - 1)
-    raise ValueError(
-        f"unit count covers gcd(q, n) = 1 or n a power of char {p}; "
-        f"got q={q}, n={n}")
+    L, m = _p_part(q, n)
+    if L != 1 and m != 1:
+        raise ValueError(
+            f"unit count covers gcd(q, n) = 1 or n a power of char "
+            f"{_as_prime_power(q)[0]}; got q={q}, n={n}")
+    return cyclic_histogram_counts(q, n)[0]
 
 
 # --- the five-element cyclic group, all four printed cases ------------
@@ -249,11 +245,8 @@ def p_c5(q: int, variant: str = DERIVED) -> FormulaResult:
                              label + ", as typeset")
     if variant != DERIVED:
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    if case == 1:
-        value = p_cyclic_chain(q, 5).value
-    else:
-        value = p_cyclic_semisimple(q, 5).value
-    return FormulaResult(value, DERIVED, label + ", decomposition value")
+    return FormulaResult(_cyclic_probability(q, 5), DERIVED,
+                         label + ", decomposition value")
 
 
 # --- 2x2 matrix rings, S3, Q8 -----------------------------------------
@@ -334,6 +327,7 @@ def closed_forms(K: CoeffRing, G: CayleyGroup, side: str = "left") -> list[Formu
     Returns printed and derived variants when both exist; raises ValueError
     when no published form applies (the census still does).
     """
+    _check_side(side)
     if not K.is_field:
         raise ValueError(f"no closed form for {K.spec} coefficients; run the census")
     q = K.size
@@ -341,12 +335,10 @@ def closed_forms(K: CoeffRing, G: CayleyGroup, side: str = "left") -> list[Formu
         n = G.order
         if n == 5:
             return [p_c5(q, PRINTED), p_c5(q, DERIVED)]
-        if math.gcd(q, n) == 1:
+        L, m = _p_part(q, n)
+        if L == 1:
             return [p_cyclic_semisimple(q, n)]
-        nn = n
-        while nn % K.p == 0:
-            nn //= K.p
-        if nn == 1:
+        if m == 1:
             return [p_cyclic_chain(q, n)]
         raise ValueError(
             f"no closed form for F_{q}[C_{n}] with mixed characteristic; "

@@ -268,38 +268,25 @@ def pair_count_direct_sum(components, relation: str = "ab=0", *,
 
     `components` is a list of (K, G) pairs.  A sum element is a tuple of
     component elements, indexed mixed-radix with the first component major;
-    a product is zero exactly when every component product is zero.  Each
-    pair of sum elements is inspected individually.
+    a product is zero exactly when every component product is zero, so the
+    sum's zero-product matrix is the Kronecker product of the components'
+    (an AND of component entries for every pair of sum elements).
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     if not components:
         raise ValueError("need at least one component")
-    sizes = [ring_size(K, G) for K, G in components]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(ring_size(K, G) for K, G in components)
     if total * total > max_pairs:
         raise CapExceeded(
             f"direct-sum count over {total * total} pairs exceeds max_pairs={max_pairs}")
-    zmats = [zero_product_matrix(K, G, max_pairs=max_pairs) for K, G in components]
-    want_ba = relation == "ab=0&ba=0"
-    count = 0
-    for a in range(total):
-        rem = a
-        masks = []
-        for s, Z in zip(reversed(sizes), reversed(zmats)):
-            ai = rem % s
-            rem //= s
-            mask = Z[ai]
-            if want_ba:
-                mask = mask & Z[:, ai]
-            masks.append(mask)
-        combined = masks[-1]  # first component, built last by the decode loop
-        for mask in reversed(masks[:-1]):
-            combined = np.logical_and.outer(combined, mask)
-        count += int(combined.sum())
-    return count
+    Z = np.ones((1, 1), dtype=bool)
+    for K, G in components:
+        Zc = zero_product_matrix(K, G, max_pairs=max_pairs)
+        if relation == "ab=0&ba=0":
+            Zc = Zc & Zc.T
+        Z = np.kron(Z, Zc)
+    return int(np.count_nonzero(Z))
 
 
 # --- 2x2 matrix rings -------------------------------------------------

@@ -178,6 +178,9 @@ def test_bad_inputs_exit_nonzero(capsys):
                        "--max-elements", "1000")
     assert code == 1 and "1024" in err
 
+    code, _, err = run(capsys, "catalog", "--threshold", "1/0")
+    assert code == 1 and err.startswith("error:") and "1/0" in err
+
 
 def test_bad_workers_and_group_files_rejected(capsys, tmp_path):
     for workers in ("0", "-5"):

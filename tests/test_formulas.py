@@ -8,7 +8,8 @@ import pytest
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
                               chain_histogram_counts, classify_threshold,
-                              closed_forms, cyclic_decomposition,
+                              closed_forms, cyclic_components,
+                              cyclic_histogram_counts,
                               default_sweep_instances, divisors, euler_phi,
                               gap_check, multiplicative_order, p_c5,
                               p_char2_family, p_cyclic_chain,
@@ -33,24 +34,18 @@ def test_number_theory_helpers():
 
 
 def test_cyclic_decomposition_structure():
-    dec = cyclic_decomposition(2, 3)
-    assert dec.field_sizes() == [2, 4]
-    dec = cyclic_decomposition(7, 6)
-    assert dec.field_sizes() == [7, 7, 7, 7, 7, 7]
-    dec = cyclic_decomposition(2, 5)
-    assert dec.field_sizes() == [2, 16]
-    with pytest.raises(ValueError):
-        cyclic_decomposition(2, 4)
+    assert cyclic_components(2, 3) == [(1, 1), (2, 1)]
+    assert cyclic_components(7, 6) == [(1, 1)] * 6
+    assert cyclic_components(2, 5) == [(1, 1), (4, 1)]
+    assert cyclic_components(2, 4) == [(1, 4)]
 
 
 def test_decomposition_dimensions_sum_to_group_order():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
         for n in range(1, 201):
-            if math.gcd(q, n) != 1:
-                continue
-            dec = cyclic_decomposition(q, n)
-            assert dec.dimension() == n
-            assert all(s % q == 0 for s in dec.field_sizes())
+            comps = cyclic_components(q, n)
+            assert sum(d * L for d, L in comps) == n
+            assert all(d >= 1 and L >= 1 for d, L in comps)
 
 
 def test_single_field_probability():
@@ -100,6 +95,13 @@ def test_semisimple_histogram_prediction():
         assert census.counts == semisimple_histogram_counts(q, n)
 
 
+def test_cyclic_histogram_mixed_characteristic():
+    # neither coprime nor a power of the characteristic
+    for q, n in ((2, 6), (2, 10), (2, 12), (3, 6), (4, 6)):
+        census = annihilator_histogram(ring_from_spec(f"F:{q}"), cyclic(n))
+        assert census.counts == cyclic_histogram_counts(q, n), (q, n)
+
+
 def test_unit_counts():
     assert unit_count_cyclic(7, 6) == 46656
     assert unit_count_cyclic(5, 5) == 2500
@@ -107,6 +109,8 @@ def test_unit_counts():
     assert unit_count_cyclic(2, 4) == 8
     with pytest.raises(ValueError):
         unit_count_cyclic(2, 6)
+    with pytest.raises(ValueError):
+        unit_count_cyclic(2, 0)
     # census agreement: units are exactly the trivial-annihilator class
     assert annihilator_histogram(field(2), cyclic(3)).unit_count() == 3
     assert annihilator_histogram(field(5), cyclic(5)).unit_count() == 2500
@@ -207,6 +211,10 @@ def test_closed_form_dispatch():
         closed_forms(ring_from_spec("F:3"), s3(), "left")
     with pytest.raises(ValueError, match="census"):
         closed_forms(ring_from_spec("F:2"), group_from_spec("C2xC2"))
+    with pytest.raises(ValueError, match="side"):
+        closed_forms(field(2), s3(), "up")
+    with pytest.raises(ValueError, match="side"):
+        closed_forms(field(2), cyclic(3), "bogus")
 
 
 def test_default_sweep_contents():
