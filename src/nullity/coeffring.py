@@ -59,14 +59,8 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     return (p, m) if q == 1 else None
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num mod den over F_p; den must be monic."""
+    """Remainder of num mod den over F_p, trailing zeros dropped; den must be monic."""
     r = list(num)
     dd = len(den) - 1
     for i in range(len(r) - 1, dd - 1, -1):
@@ -74,7 +68,10 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
         if c:
             for j in range(dd + 1):
                 r[i - dd + j] = (r[i - dd + j] - c * den[j]) % p
-    return _poly_trim([v % p for v in r[:dd]])
+    r = [v % p for v in r[:dd]]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def _is_irreducible(low: list[int], p: int, m: int) -> bool:
@@ -202,7 +199,10 @@ class CoeffRing:
             self.spec = f"Z:{n}"
         self._tpow: list[tuple[int, ...]] | None = None
         if kind == EXTENSION_FIELD:
-            self._tpow = self._reduction_digits()
+            # digits of t**k reduced mod the modulus, for k = 0 .. 2m-2
+            den = list(modulus_poly) + [1]
+            rems = (_poly_rem([0] * k + [1], den, p) for k in range(2 * m - 1))
+            self._tpow = [tuple(r + [0] * (m - len(r))) for r in rems]
         self._tables = None
         self._array_ops = None
 
@@ -226,9 +226,6 @@ class CoeffRing:
         """p for fields, the additive order of 1 for Z:n."""
         return self.p if self.is_field else self.n
 
-    def elements(self) -> range:
-        return range(self.size)
-
     # --- extension-field digit plumbing -------------------------------
 
     def decode(self, a: int) -> tuple[int, ...]:
@@ -239,22 +236,6 @@ class CoeffRing:
     def encode(self, digits) -> int:
         p = self.p
         return sum(int(d) % p * p**i for i, d in enumerate(digits))
-
-    def _reduction_digits(self) -> list[tuple[int, ...]]:
-        """Digits of t**k reduced mod the modulus, for k = 0 .. 2m-2."""
-        p, m = self.p, self.m
-        low = self.modulus_poly
-        pows: list[tuple[int, ...]] = []
-        cur = [0] * m
-        cur[0] = 1
-        for _ in range(2 * m - 1):
-            pows.append(tuple(cur))
-            top = cur[m - 1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i in range(m):
-                    cur[i] = (cur[i] - top * low[i]) % p
-        return pows
 
     # --- scalar arithmetic --------------------------------------------
 
@@ -322,21 +303,23 @@ class CoeffRing:
             raise ValueError(
                 f"dense op tables for {self.spec} need {q}x{q} entries; "
                 f"limit is {_TABLE_LIMIT}x{_TABLE_LIMIT}")
-        digits = ((np.arange(q)[:, None] // p ** np.arange(m)[None, :]) % p).astype(np.int64)
         weights = (p ** np.arange(m)).astype(np.int64)
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        digits = (np.arange(q)[:, None] // weights) % p
+        add = np.zeros((q, q), dtype=np.int64)
+        for i in range(m):
+            add += (digits[:, None, i] + digits[None, :, i]) % p * weights[i]
         neg = ((-digits) % p) @ weights
-        tpow = np.array(self._tpow, dtype=np.int64)  # (2m-1, m)
-        mul = np.empty((q, q), dtype=np.int64)
-        step = max(1, (1 << 22) // (q * (2 * m - 1)))
-        for lo in range(0, q, step):
-            blk = digits[lo:lo + step]
-            conv = np.zeros((blk.shape[0], q, 2 * m - 1), dtype=np.int64)
-            for i in range(m):
-                for j in range(m):
-                    conv[:, :, i + j] += blk[:, i, None] * digits[None, :, j]
-            out = (conv % p) @ tpow % p
-            mul[lo:lo + step] = out @ weights
+        # t*x: p*x mod q has the digits of x shifted up one place; then fold
+        # t**m = -(a0 + a1 t + ... + a_{m-1} t**(m-1)) back in
+        shifted = digits[np.arange(q) * p % q]
+        times_t = ((shifted - digits[:, -1:] * self.modulus_poly) % p) @ weights
+        scaled = (np.arange(p)[:, None, None] * digits) % p @ weights  # c*x, c in F_p
+        # a*b = sum_i a_i (t**i b)
+        mul = np.zeros((q, q), dtype=np.int64)
+        tib = np.arange(q)
+        for i in range(m):
+            mul = add[mul, scaled[digits[:, i, None], tib]]
+            tib = times_t[tib]
         inv = np.zeros(q, dtype=np.int64)
         rows, cols = np.nonzero(mul == 1)
         inv[rows] = cols
@@ -375,15 +358,15 @@ def field(p: int, m: int = 1, *, modulus: tuple[int, ...] | None = None,
           max_size: int = DEFAULT_MAX_RING_SIZE) -> CoeffRing:
     """F_p for m = 1, else F_{p**m} with the lexicographically smallest
     irreducible modulus (or an explicitly supplied one, verified)."""
-    if not is_prime(p):
-        raise ValueError(f"field characteristic must be prime, got {p}")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if m > MAX_EXTENSION_DEGREE:
         raise ValueError(
             f"extension degree {m} exceeds the supported bound {MAX_EXTENSION_DEGREE}")
-    if p**m > max_size:
+    if p**m > max_size:  # before the O(sqrt p) primality test
         raise ValueError(f"ring size {p**m} exceeds max_size={max_size}")
+    if not is_prime(p):
+        raise ValueError(f"field characteristic must be prime, got {p}")
     if m == 1:
         return CoeffRing(PRIME_FIELD, p=p, m=1)
     if modulus is None:
@@ -430,6 +413,8 @@ def ring_from_spec(text: str, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Coeff
     if not tail.isdigit():
         raise ValueError(f"bad ring spec {text!r}: F:q needs an integer q")
     q = int(tail)
+    if q > max_size:  # before the O(sqrt q) factoring
+        raise ValueError(f"ring size {q} exceeds max_size={max_size}")
     pm = prime_power_decomposition(q)
     if pm is None:
         raise ValueError(f"bad ring spec {text!r}: {q} is not a prime power")

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+# largest group order built: an int64 Cayley table of 4096^2 entries is 128 MiB
+MAX_GROUP_ORDER = 4096
+
 
 class CayleyGroup:
     """A finite group given by its multiplication table.
@@ -35,7 +38,6 @@ class CayleyGroup:
         self.names = names
         self.spec = spec
         self.structure = structure
-        self.identity_index = 0
         self._inverses: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -98,9 +100,15 @@ def validate_group(table: np.ndarray) -> str | None:
     return None
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} exceeds the bound {MAX_GROUP_ORDER}")
+
+
 def cyclic(n: int) -> CayleyGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
+    _check_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     names = tuple("e" if k == 0 else "a" if k == 1 else f"a^{k}" for k in range(n))
@@ -109,6 +117,7 @@ def cyclic(n: int) -> CayleyGroup:
 
 def product(g1: CayleyGroup, g2: CayleyGroup) -> CayleyGroup:
     n2 = g2.order
+    _check_order(g1.order * n2)
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :])
     table = table.reshape(g1.order * n2, g1.order * n2)
     names = tuple(f"({x},{y})" for x in g1.names for y in g2.names)
@@ -160,6 +169,8 @@ def from_table(rows, *, names: tuple[str, ...] | None = None,
 
     Entries must be integers; floats and bools are rejected, not truncated.
     """
+    if hasattr(rows, "__len__"):
+        _check_order(len(rows))
     cells = np.asarray(rows, dtype=object)
     if cells.ndim == 1:  # ragged or bare-scalar rows stay Python objects
         for i, row in enumerate(cells):
@@ -194,14 +205,14 @@ def group_from_table_file(path: str | Path) -> CayleyGroup:
 _ATOM = re.compile(r"^(?:C:?(\d+)|S3|Q8)$", re.IGNORECASE)
 
 
-def _atom_from_spec(text: str) -> CayleyGroup:
-    m = _ATOM.match(text)
+def _atom_from_spec(atom: str, text: str) -> CayleyGroup:
+    m = _ATOM.match(atom)
     if m is None:
         raise ValueError(
             f"bad group spec {text!r}: expected C:n, S3, Q8, or products AxB")
     if m.group(1) is not None:
         return cyclic(int(m.group(1)))
-    return s3() if text.upper() == "S3" else q8()
+    return s3() if atom.upper() == "S3" else q8()
 
 
 def group_from_spec(text: str) -> CayleyGroup:
@@ -211,7 +222,7 @@ def group_from_spec(text: str) -> CayleyGroup:
         raise ValueError("empty group spec")
     # atoms never contain the letter x, so a plain split is safe
     parts = re.split(r"[xX]", s)
-    groups = [_atom_from_spec(p) for p in parts]
+    groups = [_atom_from_spec(p, text) for p in parts]
     g = groups[0]
     for h in groups[1:]:
         g = product(g, h)

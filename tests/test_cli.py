@@ -181,6 +181,9 @@ def test_bad_inputs_exit_nonzero(capsys):
     code, _, err = run(capsys, "catalog", "--threshold", "1/0")
     assert code == 1 and err.startswith("error:") and "1/0" in err
 
+    code, _, err = run(capsys, "formula", "--coeff", "F:2", "--group", "C:4097")
+    assert code == 1 and "group order 4097" in err
+
 
 def test_bad_workers_and_group_files_rejected(capsys, tmp_path):
     for workers in ("0", "-5"):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import nullity.coeffring
 from nullity.coeffring import (MAX_EXTENSION_DEGREE, NotInvertibleError,
                                field, integers_mod, is_prime,
                                lex_smallest_irreducible,
@@ -131,6 +132,20 @@ def test_extension_degree_cap():
         integers_mod(1)
 
 
+def test_size_cap_applies_before_factoring(monkeypatch):
+    def refuse(_):
+        raise AssertionError("factored a ring larger than max_size")
+
+    monkeypatch.setattr(nullity.coeffring, "prime_power_decomposition", refuse)
+    monkeypatch.setattr(nullity.coeffring, "is_prime", refuse)
+    with pytest.raises(ValueError, match="ring size 100000000000031 exceeds max_size"):
+        ring_from_spec("F:100000000000031")
+    with pytest.raises(ValueError, match="ring size 100000000000031 exceeds max_size"):
+        field(100000000000031)
+    with pytest.raises(ValueError, match="ring size 14 exceeds max_size=10"):
+        ring_from_spec("F:14", max_size=10)
+
+
 def _exhaustive_ring_axioms(K):
     n = K.size
     for a in range(n):
@@ -197,6 +212,17 @@ def test_tables_agree_with_scalar_route():
             except NotInvertibleError:
                 continue
             assert inv_t[a] == expected
+    # F:3^6 (m = 6, the benchmark's table build) and F:43^2 (the largest tabulated q)
+    rng = random.Random(20240611)
+    for K in (field(3, 6), field(43, 2)):
+        add_t, mul_t, neg_t, inv_t = K.tables()
+        for a in range(K.size):
+            assert neg_t[a] == K.neg(a)
+            if a:
+                assert inv_t[a] == K.inv(a)
+        for a in rng.sample(range(K.size), 12):
+            assert add_t[a].tolist() == [K.add(a, b) for b in range(K.size)]
+            assert mul_t[a].tolist() == [K.mul(a, b) for b in range(K.size)]
 
 
 def test_array_ops_agree_with_scalar_route():
@@ -212,6 +238,9 @@ def test_array_ops_agree_with_scalar_route():
         assert all(int(v) == K.sub(int(a), int(b))
                    for v, a, b in zip(ops.sub(x, y), x, y))
         assert all(int(v) == K.neg(int(a)) for v, a in zip(ops.neg(x), x))
+        if K.is_field:
+            nz = x[x != 0]
+            assert all(int(v) == K.inv(int(a)) for v, a in zip(ops.inv(nz), nz))
 
 
 def test_decode_encode_roundtrip():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nullity.groups import (CayleyGroup, cyclic, from_table, group_from_spec,
+from nullity.groups import (MAX_GROUP_ORDER, CayleyGroup, cyclic, from_table, group_from_spec,
                             group_from_table_file, product, q8, s3,
                             validate_group)
 
@@ -72,6 +72,22 @@ def test_spec_parsing_variants():
     for bad in ("", "C:0", "D4", "C2yC2", "S4"):
         with pytest.raises(ValueError):
             group_from_spec(bad)
+    for bad in ("C2x", "xC2", "C2xxC2"):
+        with pytest.raises(ValueError, match=f"bad group spec '{bad}'"):
+            group_from_spec(bad)
+
+
+def test_group_order_bound_checked_before_building():
+    n = MAX_GROUP_ORDER + 1  # 4097 = 17 * 241
+    msg = f"group order {n} exceeds the bound {MAX_GROUP_ORDER}"
+    with pytest.raises(ValueError, match=msg):
+        cyclic(n)
+    with pytest.raises(ValueError, match=msg):
+        group_from_spec(f"C:{n}")
+    with pytest.raises(ValueError, match=msg):
+        product(cyclic(17), cyclic(241))
+    with pytest.raises(ValueError, match=msg):
+        from_table([[0]] * n)
 
 
 def test_validator_rejects_each_axiom_violation():
