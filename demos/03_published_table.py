@@ -13,17 +13,14 @@ from fractions import Fraction
 from nullity.cli import decimal_str
 from nullity.errata import (ERRATA_BY_KEY, TABLE1_AS_TYPESET, TABLE1_ERRATA,
                             TABLE1_ROWS)
-from nullity.coeffring import ring_from_spec
-from nullity.groups import group_from_spec
-from nullity.oracle import nullity_probability
+from nullity.formulas import sweep_catalog
+
+# one sweep gives both conventions; abelian rows reuse the pair value
+entries = sweep_catalog([row[:2] for row in TABLE1_ROWS])
 
 print(f"{'ring':14s} {'printed':16s} {'recomputed':24s} status")
-for coeff, group, printed, printed_dec in TABLE1_ROWS:
-    K = ring_from_spec(coeff)
-    G = group_from_spec(group)
-    pair = nullity_probability(K, G, "left", max_pairs=1 << 21)
-    two = pair if G.is_abelian else nullity_probability(K, G, "twosided",
-                                                        max_pairs=1 << 21)
+for e, (coeff, group, printed, printed_dec) in zip(entries, TABLE1_ROWS):
+    pair, two = e.p_pair, e.p_twosided
     key = TABLE1_ERRATA.get((coeff, group))
     status = ERRATA_BY_KEY[key].status if key else "match"
     typeset = TABLE1_AS_TYPESET.get((coeff, group), str(printed))

@@ -17,10 +17,10 @@ import time
 from fractions import Fraction
 
 from . import formulas, oracle
-from .coeffring import CoeffRing, ring_from_spec
+from .coeffring import ring_from_spec
 from .errata import (ERRATA_BY_KEY, TABLE1_AS_TYPESET, TABLE1_ERRATA,
                      TABLE1_ROWS, expected_formula_mismatch)
-from .groupring import CapExceeded
+from .groupring import SIDES, CapExceeded
 from .groups import CayleyGroup, group_from_spec, group_from_table_file
 from .oracle import _fraction_json
 
@@ -154,30 +154,23 @@ def cmd_compare(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    entries = formulas.sweep_catalog([row[:2] for row in TABLE1_ROWS],
+                                     workers=args.workers)
     rows = []
     unexpected = 0
-    for coeff_spec, group_spec, printed, printed_dec in TABLE1_ROWS:
-        K = ring_from_spec(coeff_spec)
-        G = group_from_spec(group_spec)
-        pair = oracle.nullity_probability(K, G, "left",
-                                          max_pairs=1 << 21,
-                                          workers=args.workers)
-        two = (pair if G.is_abelian else
-               oracle.nullity_probability(K, G, "twosided",
-                                          max_pairs=1 << 21,
-                                          workers=args.workers))
-        key = TABLE1_ERRATA.get((coeff_spec, group_spec))
-        if printed in (pair, two) and key is None:
+    for e, (_, _, printed, printed_dec) in zip(entries, TABLE1_ROWS):
+        key = TABLE1_ERRATA.get((e.coeff, e.group))
+        if printed in (e.p_pair, e.p_twosided) and key is None:
             status = "match"
         elif key is not None:
             status = ERRATA_BY_KEY[key].status
         else:
             status = "MISMATCH"
             unexpected += 1
-        rows.append({"coeff": coeff_spec, "group": group_spec,
+        rows.append({"coeff": e.coeff, "group": e.group,
                      "printed": printed, "printed_decimal": printed_dec,
-                     "pair": pair, "twosided": two, "status": status,
-                     "erratum": key})
+                     "pair": e.p_pair, "twosided": e.p_twosided,
+                     "status": status, "erratum": key})
     if args.format == "json":
         print(json.dumps(rows, default=_fraction_json))
     else:
@@ -266,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive annihilator census record")
     _add_instance_flags(p)
-    p.add_argument("--side", choices=("left", "right", "twosided"), default="left")
+    p.add_argument("--side", choices=SIDES, default="left")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--no-timing", action="store_true",
                    help="omit elapsed_ms for byte-reproducible output")
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="closed-form value(s) for an instance")
     _add_instance_flags(p)
-    p.add_argument("--side", choices=("left", "right", "twosided"), default="left")
+    p.add_argument("--side", choices=SIDES, default="left")
     p.add_argument("--variant", choices=("printed", "derived", "both"),
                    default="both")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -283,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="closed forms vs the census, with verdicts")
     _add_instance_flags(p)
-    p.add_argument("--side", choices=("left", "right", "twosided"), default="left")
+    p.add_argument("--side", choices=SIDES, default="left")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_cap_flags(p)
     p.set_defaults(func=cmd_compare)

@@ -199,7 +199,9 @@ def unit_count_cyclic(q: int, n: int) -> int:
         raise ValueError(
             f"unit count covers gcd(q, n) = 1 or n a power of char "
             f"{_as_prime_power(q)[0]}; got q={q}, n={n}")
-    return cyclic_histogram_counts(q, n)[0]
+    # the units of F_r[y]/(y^L) are the elements with a nonzero constant term
+    return math.prod(q**(d * (L - 1)) * (q**d - 1)
+                     for d, L in cyclic_components(q, n))
 
 
 # --- the five-element cyclic group, all four printed cases ------------
@@ -258,12 +260,11 @@ def p_matrix2(q: int, side: str = "left") -> FormulaResult:
     (3q^2 - 2)/q^6.
     """
     _as_prime_power(q)
-    if side in ("left", "right"):
-        value = Fraction(q**4 + 3 * q**3 - 2 * q**2 - 2 * q + 1, q**7)
-    elif side == "twosided":
+    _check_side(side)
+    if side == "twosided":
         value = Fraction(3 * q**2 - 2, q**6)
     else:
-        raise ValueError(f"side must be left, right, or twosided, got {side!r}")
+        value = Fraction(q**4 + 3 * q**3 - 2 * q**2 - 2 * q + 1, q**7)
     return FormulaResult(value, PRINTED, f"2x2 matrix ring over F_{q}, {side}")
 
 
@@ -410,7 +411,9 @@ def sweep_catalog(instances, *, max_elements: int = oracle.DEFAULT_MAX_ELEMENTS,
                   workers: int = 1) -> list[CatalogEntry]:
     """Exact P for each (coeff spec, group spec) instance, both conventions.
 
-    Cap overruns mark the entry skipped rather than dropping it.
+    This is the one loop that evaluates a list of instances; an abelian
+    entry's twosided value is its pair value, with no second census.  Cap
+    overruns mark the entry skipped rather than dropping it.
     """
     entries = []
     for coeff_spec, group_spec in instances:
@@ -421,9 +424,11 @@ def sweep_catalog(instances, *, max_elements: int = oracle.DEFAULT_MAX_ELEMENTS,
             entry.p_pair = oracle.nullity_probability(
                 K, G, "left", max_elements=max_elements, max_pairs=max_pairs,
                 workers=workers)
-            entry.p_twosided = oracle.nullity_probability(
-                K, G, "twosided", max_elements=max_elements, max_pairs=max_pairs,
-                workers=workers)
+            # ab = 0 iff ba = 0 in a commutative ring
+            entry.p_twosided = entry.p_pair if G.is_abelian else (
+                oracle.nullity_probability(
+                    K, G, "twosided", max_elements=max_elements,
+                    max_pairs=max_pairs, workers=workers))
         except CapExceeded as exc:
             entry.skipped = str(exc)
         entries.append(entry)
@@ -437,8 +442,8 @@ def classify_threshold(instances, threshold, *,
     """Instances whose zero-pair probability Pr[ab = 0] meets the threshold.
 
     The pair convention is the headline definition of P and the one the
-    published >= 0.1 table is consistent with; the twosided value is
-    computed alongside for every entry (they agree on abelian instances).
+    published >= 0.1 table is consistent with; every entry carries the
+    twosided value too (see :func:`sweep_catalog`).
     """
     threshold = Fraction(threshold)
     entries = sweep_catalog(instances, max_elements=max_elements,

@@ -38,9 +38,17 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def _check_vector(G: CayleyGroup, x) -> None:
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_vector(K: CoeffRing, G: CayleyGroup, x) -> None:
     if len(x) != G.order:
         raise ValueError(f"coefficient vector has length {len(x)}, group order is {G.order}")
+    for i, c in enumerate(x):
+        if not _is_int(c) or not 0 <= c < K.size:
+            raise ValueError(f"coefficient {i} is {c!r}, expected an integer "
+                             f"in [0, {K.size})")
 
 
 def ring_size(K: CoeffRing, G: CayleyGroup) -> int:
@@ -49,19 +57,24 @@ def ring_size(K: CoeffRing, G: CayleyGroup) -> int:
 
 def element_vector(K: CoeffRing, G: CayleyGroup, e: int) -> tuple[int, ...]:
     """Coefficient vector of the ring element with index e."""
+    total = ring_size(K, G)
+    if not _is_int(e) or not 0 <= int(e) < total:
+        raise ValueError(f"element index is {e!r}, expected an integer "
+                         f"in [0, {total})")
     s = K.size
-    return tuple((e // s**i) % s for i in range(G.order))
+    return tuple((int(e) // s**i) % s for i in range(G.order))
 
 
 def element_index(K: CoeffRing, G: CayleyGroup, x) -> int:
+    _check_vector(K, G, x)
     s = K.size
     return sum(int(c) * s**i for i, c in enumerate(x))
 
 
 def gr_multiply(K: CoeffRing, G: CayleyGroup, a, b) -> tuple[int, ...]:
     """Convolution product of two coefficient vectors in K[G]."""
-    _check_vector(G, a)
-    _check_vector(G, b)
+    _check_vector(K, G, a)
+    _check_vector(K, G, b)
     out = [0] * G.order
     table = G.table
     for i, ai in enumerate(a):
@@ -134,7 +147,7 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_vector(G, x)
+    _check_vector(K, G, x)
     P = _ann_gather_indices(G.table, "left" if side == "right" else "right")
     return np.array([*x, 0], dtype=np.int64)[P]
 
@@ -189,7 +202,7 @@ def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,
     enumeration of all |K|**n candidates (cap-guarded).
     """
     _check_side(side)
-    _check_vector(G, x)
+    _check_vector(K, G, x)
     if not K.is_field:
         return annihilator_size_by_enumeration(K, G, x, side, cap=max_enumeration)
     M = np.array([*x, 0], dtype=np.int64)[_ann_gather_indices(G.table, side)]
@@ -206,7 +219,7 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     a*x, the table gives x*a.
     """
     _check_side(side)
-    _check_vector(G, x)
+    _check_vector(K, G, x)
     total = ring_size(K, G)
     if total > cap:
         raise CapExceeded(

@@ -13,8 +13,10 @@ Index 0 is always the identity.  Canonical element orders:
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -109,8 +111,9 @@ def cyclic(n: int) -> CayleyGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     _check_order(n)
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int64)
+    table = np.add.outer(idx, idx)
+    table %= n  # in place: the table is the only n x n array built
     names = tuple("e" if k == 0 else "a" if k == 1 else f"a^{k}" for k in range(n))
     return CayleyGroup(table, names, f"C:{n}", "cyclic")
 
@@ -205,24 +208,31 @@ def group_from_table_file(path: str | Path) -> CayleyGroup:
 _ATOM = re.compile(r"^(?:C:?(\d+)|S3|Q8)$", re.IGNORECASE)
 
 
-def _atom_from_spec(atom: str, text: str) -> CayleyGroup:
+def _parse_atom(atom: str, text: str) -> tuple[Callable[[], CayleyGroup], int]:
+    """Constructor for one atom of a spec, and the order it builds."""
     m = _ATOM.match(atom)
     if m is None:
         raise ValueError(
             f"bad group spec {text!r}: expected C:n, S3, Q8, or products AxB")
     if m.group(1) is not None:
-        return cyclic(int(m.group(1)))
-    return s3() if atom.upper() == "S3" else q8()
+        n = int(m.group(1))
+        return (lambda: cyclic(n)), n
+    return (s3, 6) if atom.upper() == "S3" else (q8, 8)
 
 
 def group_from_spec(text: str) -> CayleyGroup:
-    """Parse "C:n", "S3", "Q8", or x-joined products like "C2xC2"."""
+    """Parse "C:n", "S3", "Q8", or x-joined products like "C2xC2".
+
+    Every atom is parsed, and the order of the whole product checked
+    against the bound, before any table is built.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty group spec")
     # atoms never contain the letter x, so a plain split is safe
-    parts = re.split(r"[xX]", s)
-    groups = [_atom_from_spec(p, text) for p in parts]
+    atoms = [_parse_atom(p, text) for p in re.split(r"[xX]", s)]
+    _check_order(math.prod(n for _, n in atoms))
+    groups = [build() for build, _ in atoms]
     g = groups[0]
     for h in groups[1:]:
         g = product(g, h)

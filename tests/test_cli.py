@@ -134,6 +134,23 @@ def test_table1_report(capsys):
                if k not in (("F:2", "C:4"), ("F:2", "S3")))
     klein = next(r for r in rows if r["group"] == "C2xC2")
     assert klein["pair"] == {"num": 7, "den": 32}
+    values = {(r["coeff"], r["group"]): (Fraction(r["pair"]["num"], r["pair"]["den"]),
+                                         Fraction(r["twosided"]["num"],
+                                                  r["twosided"]["den"]))
+              for r in rows}
+    assert values == {
+        ("F:2", "C:2"): (Fraction(1, 2),) * 2,
+        ("F:3", "C:2"): (Fraction(25, 81),) * 2,
+        ("F:5", "C:2"): (Fraction(81, 625),) * 2,
+        ("F:2", "C:3"): (Fraction(21, 64),) * 2,
+        ("F:2", "C:4"): (Fraction(3, 16),) * 2,
+        ("F:3", "C:3"): (Fraction(1, 9),) * 2,
+        ("F:4", "C:2"): (Fraction(5, 32),) * 2,
+        ("F:2", "C2xC2"): (Fraction(7, 32),) * 2,
+        ("Z:4", "C:2"): (Fraction(7, 32),) * 2,
+        ("Z:6", "C:2"): (Fraction(25, 162),) * 2,
+        ("F:2", "S3"): (Fraction(29, 256), Fraction(5, 64)),
+    }
 
 
 def test_catalog_classification(capsys):

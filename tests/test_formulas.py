@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nullity.oracle
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
                               chain_histogram_counts, classify_threshold,
@@ -155,7 +156,7 @@ def test_matrix2_values():
     assert p_matrix2(3, "twosided").value == Fraction(25, 729)
     assert p_matrix2(5, "left").value == Fraction(941, 78125)
     assert p_matrix2(5, "twosided").value == Fraction(73, 15625)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="side must be one of .* got 'up'"):
         p_matrix2(2, "up")
     with pytest.raises(ValueError):
         p_matrix2(6)
@@ -248,6 +249,22 @@ def test_classify_skips_are_reported_not_dropped():
     assert len(skipped) == 1
     assert skipped[0].group == "C:30"
     assert "cap" in skipped[0].skipped or "exceeds" in skipped[0].skipped
+
+
+def test_sweep_reuses_pair_value_for_abelian_groups(monkeypatch):
+    calls = []
+    census = nullity.oracle.nullity_probability
+
+    def counted(K, G, side="left", **kw):
+        calls.append((G.spec, side))
+        return census(K, G, side, **kw)
+
+    monkeypatch.setattr(nullity.oracle, "nullity_probability", counted)
+    c4, s3_entry = sweep_catalog([("F:3", "C:4"), ("F:2", "S3")])
+    assert calls == [("C:4", "left"), ("S3", "left"), ("S3", "twosided")]
+    assert c4.p_twosided == c4.p_pair
+    assert (s3_entry.p_pair, s3_entry.p_twosided) == (Fraction(29, 256),
+                                                      Fraction(5, 64))
 
 
 def test_gap_check_intervals():

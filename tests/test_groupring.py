@@ -26,6 +26,30 @@ def test_element_codec_roundtrip():
     assert element_vector(K, G, 5) == (2, 1, 0, 0)
 
 
+F2, F3, C2 = field(2), field(3), cyclic(2)
+BAD_VECTOR_CALLS = [
+    (element_vector, (F2, C2, 4), "index is 4"),
+    (element_vector, (F2, C2, -1), "index is -1"),
+    (element_vector, (F2, C2, 1.0), "index is 1.0"),
+    (element_index, (F2, C2, (5, 0)), "coefficient 0 is 5"),
+    (element_index, (F2, C2, (1,)), "length 1"),
+    (annihilator_size, (F2, C2, (5, 0)), "coefficient 0 is 5"),
+    (annihilator_size_by_enumeration, (F2, C2, (0, 2)), "coefficient 1 is 2"),
+    (regular_matrix, (F3, C2, (5, -1), "left"), "coefficient 0 is 5"),
+    (regular_matrix, (F3, C2, (1, -1), "right"), "coefficient 1 is -1"),
+    (gr_multiply, (F3, C2, (5, 0), (1, 0)), "coefficient 0 is 5"),
+    (gr_multiply, (F3, C2, (1, 0), (True, 0)), "coefficient 0 is True"),
+    (gr_multiply, (F3, C2, (1, 0), (0, 1.5)), "coefficient 1 is 1.5"),
+]
+
+
+@pytest.mark.parametrize("fn, args, bad", BAD_VECTOR_CALLS,
+                         ids=[f"{f.__name__}: {b}" for f, _, b in BAD_VECTOR_CALLS])
+def test_coefficient_vectors_are_range_checked(fn, args, bad):
+    with pytest.raises(ValueError, match=bad):
+        fn(*args)
+
+
 def test_convolution_multiplication():
     K, G = field(2), cyclic(2)
     one_plus_g = (1, 1)
@@ -143,7 +167,7 @@ def test_rank_nullity_relation():
 
 def test_twosided_is_intersection():
     K, G = field(2), s3()
-    for e in range(256):
+    for e in range(ring_size(K, G)):
         x = element_vector(K, G, e)
         two = annihilator_size(K, G, x, "twosided")
         left = annihilator_size(K, G, x, "left")

@@ -1,6 +1,7 @@
 """Cayley table constructors, canonical element orders, axiom validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ def test_group_order_bound_checked_before_building():
         product(cyclic(17), cyclic(241))
     with pytest.raises(ValueError, match=msg):
         from_table([[0]] * n)
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+    except ValueError:
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_group_construction_memory():
+    # the whole spec's order is checked before the C:4096 table (128 MiB)
+    # is built, and a cyclic table is built as its one n x n array
+    with pytest.raises(ValueError, match="group order 8192 exceeds"):
+        group_from_spec("C:4096xC:2")
+    assert _peak_bytes(lambda: group_from_spec("C:4096xC:2")) < 1 << 20
+    assert _peak_bytes(lambda: cyclic(1024)) <= 1.1 * 1024 * 1024 * 8
 
 
 def test_validator_rejects_each_axiom_violation():
