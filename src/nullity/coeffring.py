@@ -74,6 +74,31 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
     return r
 
 
+def _poly_inv(a: list[int], den: list[int], p: int) -> list[int]:
+    """Inverse of a nonzero a mod den over F_p, trailing zeros dropped; den
+    must be monic irreducible and of higher degree than a.
+
+    Extended Euclid keeping r = s*a (mod den) for both rows: the leading
+    term of the longer r is cancelled with the shorter until a nonzero
+    constant is left, whose inverse scales its s.
+    """
+    (r0, s0), (r1, s1) = (list(den), []), (_poly_rem(a, den, p), [1])
+    while len(r1) > 1:
+        k = len(r0) - len(r1)
+        f = r0[-1] * pow(r1[-1], p - 2, p) % p
+        s0 = s0 + [0] * (k + len(s1) - len(s0))
+        for j, v in enumerate(r1):
+            r0[k + j] = (r0[k + j] - f * v) % p
+        for j, v in enumerate(s1):
+            s0[k + j] = (s0[k + j] - f * v) % p
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        if len(r0) < len(r1):
+            (r0, s0), (r1, s1) = (r1, s1), (r0, s0)
+    c = pow(r1[0], p - 2, p)
+    return _poly_rem([c * v for v in s1], den, p)
+
+
 def _is_irreducible(low: list[int], p: int, m: int) -> bool:
     """Is x**m + sum(low[i] x**i) irreducible over F_p?
 
@@ -293,7 +318,8 @@ class CoeffRing:
                 raise NotInvertibleError(f"not invertible: {a} in {self.spec}") from None
         if self.kind == PRIME_FIELD:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.size - 2)
+        return self.encode(_poly_inv(list(self.decode(a)), [*self.modulus_poly, 1],
+                                     self.p))
 
     # --- dense tables and array ops -----------------------------------
 

@@ -184,6 +184,28 @@ def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
     return pivot
 
 
+def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
+    """Ranks over GF(2) of a (B, nrows, ncols) stack of 0/1 entries,
+    ncols <= 64.
+
+    Each row is packed into one uint64 with column j at bit j.  Per column,
+    the first row with that bit set is XORed into every row with the bit,
+    itself included: the pivot row clears itself and the rest lose the
+    bit, so the rank goes up by one whenever any row had it.
+    """
+    ncols = mats.shape[2]
+    rows = np.bitwise_or.reduce(
+        mats.astype(np.uint64) << np.arange(ncols, dtype=np.uint64), axis=2)
+    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    for col in range(ncols):
+        has = (rows >> np.uint64(col)) & np.uint64(1)
+        first = np.argmax(has, axis=1)
+        pivot = np.take_along_axis(rows, first[:, None], axis=1)
+        rows ^= has * pivot
+        rank += has.any(axis=1)
+    return rank
+
+
 def matrix_rank(K: CoeffRing, rows) -> int:
     """Rank over a field: the batched elimination on a batch of one."""
     if not K.is_field:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
-                        _check_side, _decode_elements, _zero_product_masks,
-                        ring_size)
+                        _check_side, _decode_elements, _gf2_ranks,
+                        _zero_product_masks, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
@@ -92,10 +92,18 @@ def _census_rows(size: int, n: int, lo: int, hi: int, sliced: bool) -> np.ndarra
 
 def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
                   sliced: bool) -> np.ndarray:
-    """tab[k, s] = #{x in the chunk : nullity k, support size s}."""
+    """tab[k, s] = #{x in the chunk : nullity k, support size s}.
+
+    A sliced census over F_2 with at most 64 columns ranks on packed bit
+    rows; every other census, method="full" included, runs the int64
+    elimination, which stays the reference.
+    """
     n = P.shape[1]
     X = _census_rows(K.size, n, lo, hi, sliced)
-    ranks = _batch_ranks(X[:, P], K.array_ops())
+    if sliced and K.size == 2 and n <= 64:
+        ranks = _gf2_ranks(X[:, P])
+    else:
+        ranks = _batch_ranks(X[:, P], K.array_ops())
     support = np.count_nonzero(X, axis=1)
     cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
     return cells.reshape(n + 1, n + 1)

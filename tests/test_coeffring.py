@@ -194,6 +194,16 @@ def test_inverse_failures_raise():
     assert issubclass(NotInvertibleError, ValueError)
 
 
+def test_extension_inverse_by_euclid():
+    # the scalar inverse is extended Euclid over F_p[t]; the dense tables
+    # find inverses by search in the multiplication table
+    for K in (field(2, 8), field(3, 6)):
+        inv_t = K.tables()[3]
+        assert [K.inv(a) for a in range(1, K.size)] == inv_t[1:].tolist()
+    K = field(3, 8)  # above the table limit
+    assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, K.size))
+
+
 def test_tables_agree_with_scalar_route():
     with pytest.raises(ValueError, match="residue"):
         field(7).tables()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nullity.coeffring import field, integers_mod, ring_from_spec
-from nullity.groupring import (CapExceeded, _decode_elements,
-                               _zero_product_masks, annihilator_size,
+from nullity.groupring import (CapExceeded, _batch_ranks, _decode_elements,
+                               _gf2_ranks, _zero_product_masks, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
                                matrix_rank, regular_matrix, ring_size)
@@ -116,6 +116,31 @@ def test_matrix_rank_basics():
     assert matrix_rank(K, [[1, 2, 0], [0, 1, 1], [2, 1, 0]]) == 2
     with pytest.raises(ValueError, match="field"):
         matrix_rank(integers_mod(4), [[1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
+def test_packed_gf2_ranks_equal_int64_ranks(n):
+    rng = np.random.default_rng(20261018 + n)
+    ops = field(2).array_ops()
+    for nrows in (n, 2 * n):
+        # sparse to dense rows, so that ranks below full occur too
+        density = rng.uniform(0.05, 0.95, size=(64, 1, 1))
+        mats = (rng.random((64, nrows, n)) < density).astype(np.int64)
+        assert _gf2_ranks(mats).tolist() == _batch_ranks(mats.copy(), ops).tolist()
+    special = np.stack([np.zeros((n, n), dtype=np.int64),
+                        np.eye(n, dtype=np.int64),
+                        np.ones((n, n), dtype=np.int64)])
+    assert _gf2_ranks(special).tolist() == [0, n, 1]
+
+
+def test_packed_gf2_ranks_use_the_top_bit():
+    # column 63 is bit 63 of the uint64 row: the sign bit of an int64
+    top = np.zeros((4, 2, 64), dtype=np.int64)
+    top[0, 0, 63] = 1
+    top[1, :, 63] = 1
+    top[2, 0, 63] = top[2, 1, 62] = top[2, 1, 63] = 1
+    top[3, 0, 0] = top[3, 1, 63] = 1
+    assert _gf2_ranks(top).tolist() == [1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("side", ["left", "right", "twosided"])

@@ -8,7 +8,8 @@ import pytest
 
 from nullity import oracle
 from nullity.coeffring import field, integers_mod, ring_from_spec
-from nullity.groupring import CapExceeded, ring_size
+from nullity.formulas import cyclic_histogram_counts
+from nullity.groupring import CapExceeded, _batch_ranks, _gf2_ranks, ring_size
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
 from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_nullity_probability,
@@ -160,6 +161,30 @@ def test_slice_census_worker_and_chunk_invariance(monkeypatch):
         for workers in (1, 2, 3):
             assert annihilator_histogram(K, G, side,
                                          workers=workers).counts == full
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 16])
+def test_packed_f2_census_equals_cyclic_closed_form(n):
+    expected = cyclic_histogram_counts(2, n)
+    for side in ("left", "right", "twosided"):
+        assert annihilator_histogram(field(2), cyclic(n), side).counts == expected
+
+
+@pytest.mark.parametrize("group", ["C:2", "C:4", "C2xC2", "S3", "C:8", "Q8",
+                                   "C2xC2xC2"])
+def test_packed_f2_census_equals_full_census(group):
+    G = group_from_spec(group)
+    for side in ("left", "right", "twosided"):
+        full = annihilator_histogram(field(2), G, side, method="full")
+        assert annihilator_histogram(field(2), G, side).counts == full.counts
+
+
+def test_packed_f2_chunk_equals_int64_chunk():
+    # one whole chunk of the F:2 Q8xC:2 twosided slice gather
+    P = _ann_gather_indices(group_from_spec("Q8xC:2").table, "twosided")
+    mats = oracle._census_rows(2, 16, 0, oracle._CHUNK, True)[:, P]
+    assert mats.shape == (8192, 32, 16)
+    assert np.array_equal(_gf2_ranks(mats), _batch_ranks(mats, field(2).array_ops()))
 
 
 def test_census_over_large_extension_field():
