@@ -153,35 +153,26 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
 
 
 def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
-    """Ranks of a (B, nrows, ncols) stack by in-place elimination.
-
-    Pivoting picks the first not-yet-used row with a nonzero entry in the
-    current column; rows below the pivot are cleared.  `ops` supplies
-    vectorized field arithmetic on index arrays.
+    """Ranks of a (B, nrows, ncols) stack by in-place elimination, with the
+    pivot rule of :func:`_gf2_ranks`: per column, (e_r / lead) * pivot is
+    subtracted from every row r, the pivot row (the first with a nonzero
+    entry) included, so the rank goes up by one whenever any row had the
+    column.  A lead of 0 (no pivot, e all zero) becomes 1 so that ops.inv
+    never sees 0.  `ops` supplies vectorized field arithmetic on index arrays.
     """
-    B, nrows, ncols = mats.shape
-    pivot = np.zeros(B, dtype=np.int64)
-    rowidx = np.arange(nrows)
+    B, _, ncols = mats.shape
+    b = np.arange(B)
+    rank = np.zeros(B, dtype=np.int64)
     for col in range(ncols):
-        cand = (mats[:, :, col] != 0) & (rowidx[None, :] >= pivot[:, None])
-        has = cand.any(axis=1)
-        b = np.nonzero(has)[0]
-        if b.size == 0:
-            continue
-        r0 = pivot[b]
-        r1 = np.argmax(cand[b], axis=1)
-        tmp = mats[b, r0, col:].copy()
-        mats[b, r0, col:] = mats[b, r1, col:]
-        mats[b, r1, col:] = tmp
-        prow = ops.mul(ops.inv(mats[b, r0, col])[:, None], mats[b, r0, col:])
-        mats[b, r0, col:] = prow
-        block = mats[b, :, col:]
-        below = rowidx[None, :] > r0[:, None]
-        fac = np.where(below, block[:, :, 0], 0)
-        block = ops.sub(block, ops.mul(fac[:, :, None], prow[:, None, :]))
-        mats[b, :, col:] = block
-        pivot[b] += 1
-    return pivot
+        e = mats[:, :, col]
+        first = np.argmax(e != 0, axis=1)
+        lead = e[b, first]
+        pivot = mats[b, first, col:]
+        fac = ops.mul(e, ops.inv(np.where(lead != 0, lead, 1))[:, None])
+        mats[:, :, col:] = ops.sub(mats[:, :, col:],
+                                   ops.mul(fac[:, :, None], pivot[:, None, :]))
+        rank += lead != 0
+    return rank
 
 
 def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
@@ -192,6 +183,7 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
     the first row with that bit set is XORed into every row with the bit,
     itself included: the pivot row clears itself and the rest lose the
     bit, so the rank goes up by one whenever any row had it.
+    :func:`_batch_ranks` follows the same pivot rule in field arithmetic.
     """
     ncols = mats.shape[2]
     rows = np.bitwise_or.reduce(

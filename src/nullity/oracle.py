@@ -35,7 +35,7 @@ import numpy as np
 
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
-                        _check_side, _decode_elements, _gf2_ranks,
+                        _check_side, _decode_elements, _gf2_ranks, _is_int,
                         _zero_product_masks, ring_size)
 from .groups import CayleyGroup
 
@@ -129,9 +129,9 @@ def _orbit_weighted_counts(tab: np.ndarray, q: int) -> list[int]:
 
 
 def _pool_size(workers: int, chunks: int) -> int:
-    """Census threads: one per chunk at most; workers must be >= 1."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Census threads: one per chunk at most; workers must be an int >= 1."""
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     return min(workers, chunks)
 
 

@@ -118,6 +118,47 @@ def test_matrix_rank_basics():
         matrix_rank(integers_mod(4), [[1]])
 
 
+def _reference_rank(K, rows) -> int:
+    """Rank by textbook row reduction (swap, scale, clear below) in the
+    scalar field arithmetic: K.add, K.mul and K.inv only."""
+    rows = [[int(v) for v in row] for row in rows]
+    minus_one = next(c for c in range(K.size) if K.add(1, c) == 0)
+    rank = 0
+    for col in range(len(rows[0])):
+        r = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        scale = K.inv(rows[rank][col])
+        pivot = [K.mul(scale, v) for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = K.mul(minus_one, rows[i][col])
+            rows[i] = [K.add(v, K.mul(c, w)) for v, w in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("spec,n,batch", [
+    ("F:3", 8, 128), ("F:7", 6, 128), ("F:4", 6, 96), ("F:9", 5, 96), ("F:3^8", 4, 32)])
+def test_batch_ranks_equal_reference_elimination(spec, n, batch):
+    # mod, table and scalar ops; each stack mixes zero, rank-deficient and
+    # full-rank matrices, so a column has a pivot in some entries only
+    K = ring_from_spec(spec)
+    ops = K.array_ops()
+    rng = np.random.default_rng(20261018 + n)
+    for nrows in (n, 2 * n):
+        # A @ C with only the first k columns of A kept has rank <= k
+        keep = np.arange(n) < rng.integers(0, n + 1, size=(batch, 1, 1))
+        A = np.where(keep, rng.integers(0, K.size, size=(batch, nrows, n)), 0)
+        C = rng.integers(0, K.size, size=(batch, n, n))
+        mats = np.zeros((batch, nrows, n), dtype=np.int64)
+        for j in range(n):
+            mats = ops.add(mats, ops.mul(A[:, :, j, None], C[:, None, j, :]))
+        want = [_reference_rank(K, m) for m in mats]
+        assert {0, n} < set(want)
+        assert _batch_ranks(mats.copy(), ops).tolist() == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
 def test_packed_gf2_ranks_equal_int64_ranks(n):
     rng = np.random.default_rng(20261018 + n)

@@ -196,8 +196,8 @@ def test_census_over_large_extension_field():
 def test_census_argument_validation():
     with pytest.raises(ValueError, match="method"):
         annihilator_histogram(field(2), cyclic(2), method="orbits")
-    for workers in (0, -5):
-        with pytest.raises(ValueError, match=f"got {workers}"):
+    for workers in (0, -5, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
             annihilator_histogram(field(2), cyclic(2), workers=workers)
 
 
