@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import formulas, oracle
 from .coeffring import ring_from_spec
-from .errata import (ERRATA_BY_KEY, TABLE1_AS_TYPESET, TABLE1_ERRATA,
-                     TABLE1_ROWS, expected_formula_mismatch)
+from .errata import ERRATA_BY_KEY, TABLE1_ROWS
 from .groupring import SIDES, CapExceeded
 from .groups import CayleyGroup, group_from_spec, group_from_table_file
 from .oracle import _fraction_json
@@ -132,9 +131,8 @@ def cmd_compare(args) -> int:
         match = r.value == ocl
         note = ""
         if not match:
-            err = (expected_formula_mismatch(G.structure, K.size, r.variant)
-                   if K.is_field else None)
-            if err is not None:
+            if r.erratum is not None:
+                err = ERRATA_BY_KEY[r.erratum]
                 note = f"expected: {err.key} ({err.status})"
             else:
                 note = "UNEXPECTED"
@@ -158,12 +156,12 @@ def cmd_table1(args) -> int:
                                      workers=args.workers)
     rows = []
     unexpected = 0
-    for e, (_, _, printed, printed_dec) in zip(entries, TABLE1_ROWS):
-        key = TABLE1_ERRATA.get((e.coeff, e.group))
-        if printed in (e.p_pair, e.p_twosided) and key is None:
-            status = "match"
-        elif key is not None:
+    for e, (_, _, typeset, printed_dec, key) in zip(entries, TABLE1_ROWS):
+        printed = Fraction(typeset)
+        if key is not None:
             status = ERRATA_BY_KEY[key].status
+        elif printed in (e.p_pair, e.p_twosided):
+            status = "match"
         else:
             status = "MISMATCH"
             unexpected += 1
@@ -175,15 +173,13 @@ def cmd_table1(args) -> int:
         print(json.dumps(rows, default=_fraction_json))
     else:
         print(f"{'#':>2} {'ring':18s} {'printed':16s} {'computed':34s} status")
-        for i, r in enumerate(rows, 1):
+        for i, (r, (_, _, typeset, dec, _)) in enumerate(zip(rows, TABLE1_ROWS), 1):
             inst = f"{r['coeff']} {r['group']}"
             if r["pair"] == r["twosided"]:
                 comp = show(r["pair"])
             else:
                 comp = f"pair {show(r['pair'])}, twosided {show(r['twosided'])}"
-            typeset = TABLE1_AS_TYPESET.get((r["coeff"], r["group"]),
-                                            str(r["printed"]))
-            printed = f"{typeset} ({r['printed_decimal']})"
+            printed = f"{typeset} ({dec})"
             print(f"{i:>2} {inst:18s} {printed:16s} {comp:34s} {r['status']}")
         for key in sorted({r["erratum"] for r in rows if r["erratum"]}):
             e = ERRATA_BY_KEY[key]

@@ -3,14 +3,17 @@
 Each entry records what the source prints, what exhaustive computation
 gives, and which kind of slip it is.  `status` is "paper-typo" for plain
 misprints and "convention-note" where printed numbers mix the pair and
-twosided probability conventions.  Reporting code treats a mismatch as
-expected exactly when it appears here.
+twosided probability conventions.
+
+This module is data only.  A printed value names its erratum where it is
+made: a closed form in its `FormulaResult.erratum` field, a published-table
+row in its last column.  A mismatch is expected exactly when the closed
+form or table row it comes from names an erratum here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -107,50 +110,19 @@ ERRATA: tuple[Erratum, ...] = (
 ERRATA_BY_KEY = {e.key: e for e in ERRATA}
 
 
-def expected_formula_mismatch(group_structure: str, q: int, variant: str) -> Erratum | None:
-    """The erratum explaining a printed-formula/oracle mismatch, if known.
-
-    Only the five-element cyclic printed cases are expected to disagree with
-    the census; everything else printed has been confirmed, so a mismatch
-    outside this map is a genuine failure.
-    """
-    if group_structure != "cyclic" or variant != "printed":
-        return None
-    from .formulas import _c5_case
-    case = _c5_case(q)
-    if case == 1:
-        return ERRATA_BY_KEY["c5-case1"]
-    if case == 3:
-        return ERRATA_BY_KEY["c5-case3"]
-    if case == 4:
-        # the q=11 coincidence means case 4 only sometimes mismatches
-        return ERRATA_BY_KEY["c5-case4"]
-    return None
-
-
 # Published table of all group algebras with P >= 0.1, as printed:
-# (coeff spec, group spec, printed fraction, printed decimal text).
-TABLE1_ROWS: tuple[tuple[str, str, Fraction, str], ...] = (
-    ("F:2", "C:2", Fraction(1, 2), "0.5"),
-    ("F:3", "C:2", Fraction(25, 81), "0.308"),
-    ("F:5", "C:2", Fraction(81, 625), "0.129"),
-    ("F:2", "C:3", Fraction(21, 64), "0.328"),
-    ("F:2", "C:4", Fraction(3, 36), "0.18"),
-    ("F:3", "C:3", Fraction(1, 9), "0.111"),
-    ("F:4", "C:2", Fraction(5, 32), "0.156"),
-    ("F:2", "C2xC2", Fraction(7, 32), "0.218"),
-    ("Z:4", "C:2", Fraction(7, 32), "0.218"),
-    ("Z:6", "C:2", Fraction(25, 162), "0.154"),
-    ("F:2", "S3", Fraction(5, 64), "0.113"),
+# (coeff spec, group spec, fraction as typeset, printed decimal, erratum key).
+# The typeset text keeps unreduced fractions; Fraction(text) is the value.
+TABLE1_ROWS: tuple[tuple[str, str, str, str, str | None], ...] = (
+    ("F:2", "C:2", "1/2", "0.5", None),
+    ("F:3", "C:2", "25/81", "0.308", None),
+    ("F:5", "C:2", "81/625", "0.129", None),
+    ("F:2", "C:3", "21/64", "0.328", None),
+    ("F:2", "C:4", "3/36", "0.18", "table1-F2C4"),
+    ("F:3", "C:3", "1/9", "0.111", None),
+    ("F:4", "C:2", "5/32", "0.156", None),
+    ("F:2", "C2xC2", "7/32", "0.218", None),
+    ("Z:4", "C:2", "7/32", "0.218", None),
+    ("Z:6", "C:2", "25/162", "0.154", None),
+    ("F:2", "S3", "5/64", "0.113", "table1-F2S3"),
 )
-
-# keys of errata that explain specific table rows
-TABLE1_ERRATA = {
-    ("F:2", "C:4"): "table1-F2C4",
-    ("F:2", "S3"): "table1-F2S3",
-}
-
-# rows whose fraction appears unreduced in print (Fraction normalizes it away)
-TABLE1_AS_TYPESET = {
-    ("F:2", "C:4"): "3/36",
-}

@@ -9,8 +9,8 @@ polynomials) and unit count reads it.
 Every probability is an exact Fraction.  Results carry a `variant` tag:
 "printed" evaluates a published polynomial exactly as typeset, "derived"
 evaluates the value the underlying ring decomposition forces.  The two
-agree except where the errata manifest says otherwise; the census is the
-arbiter either way.
+agree except where a printed result names its entry of the errata manifest
+in `erratum`; the census is the arbiter either way.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class FormulaResult:
     value: Fraction
     variant: str
     provenance: str
+    erratum: str | None = None  # errata key when the printed value is wrong
 
 
 def euler_phi(n: int) -> int:
@@ -221,6 +222,9 @@ _C5_CASE_LABEL = {
     4: "q = 1 mod 5",
 }
 
+# errata keys of the printed cases; case 2 is typeset correctly
+_C5_ERRATUM = {1: "c5-case1", 3: "c5-case3", 4: "c5-case4"}
+
 
 def _c5_printed_value(q: int, case: int) -> Fraction:
     if case == 1:
@@ -244,7 +248,7 @@ def p_c5(q: int, variant: str = DERIVED) -> FormulaResult:
     label = f"five-cycle case {case} ({_C5_CASE_LABEL[case]})"
     if variant == PRINTED:
         return FormulaResult(_c5_printed_value(q, case), PRINTED,
-                             label + ", as typeset")
+                             label + ", as typeset", _C5_ERRATUM.get(case))
     if variant != DERIVED:
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
     return FormulaResult(_cyclic_probability(q, 5), DERIVED,

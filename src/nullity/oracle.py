@@ -128,10 +128,14 @@ def _orbit_weighted_counts(tab: np.ndarray, q: int) -> list[int]:
     return counts
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Census threads: one per chunk at most; workers must be an int >= 1."""
+def _check_workers(workers: int) -> None:
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Census threads: one per chunk at most; workers must be an int >= 1."""
+    _check_workers(workers)
     return min(workers, chunks)
 
 
@@ -217,6 +221,7 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     Pr[ab = 0 and ba = 0].  Fields use the census; Z:n counts pairs.
     """
     _check_side(side)
+    _check_workers(workers)
     if K.is_field:
         hist = annihilator_histogram(K, G, side, max_elements=max_elements,
                                      workers=workers)

@@ -1,10 +1,12 @@
 """End-to-end command tests driving main() with in-process argv."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from nullity import formulas
 from nullity.cli import decimal_str, main, show
 from nullity.groups import group_from_spec
 
@@ -114,6 +116,53 @@ def test_compare_json_fields(capsys):
     assert "c5-case3" in by_variant["printed"]["note"]
     assert by_variant["derived"]["match"] is True
     assert by_variant["derived"]["oracle"] == {"num": 6727, "den": 1048576}
+
+
+def test_compare_unattributed_cyclic_mismatch_fails(capsys, monkeypatch):
+    # only the closed form that printed a value may name its erratum: a
+    # wrong C_3 value must not borrow the C_5 erratum of q's residue class
+    real = formulas.p_cyclic_semisimple
+
+    def off_by_a_hair(q, n):
+        r = real(q, n)
+        return replace(r, value=r.value + Fraction(1, 10**9))
+
+    monkeypatch.setattr(formulas, "p_cyclic_semisimple", off_by_a_hair)
+    code, out, _ = run(capsys, "compare", "--coeff", "F:4", "--group", "C:3")
+    assert code == 1
+    assert "MISMATCH  [UNEXPECTED]" in out
+    assert "expected" not in out
+
+
+# the whole `nullity table1` text report, byte for byte
+TABLE1_TEXT = """\
+ # ring               printed          computed                           status
+ 1 F:2 C:2            1/2 (0.5)        1/2 (~0.5)                         match
+ 2 F:3 C:2            25/81 (0.308)    25/81 (~0.308642)                  match
+ 3 F:5 C:2            81/625 (0.129)   81/625 (~0.1296)                   match
+ 4 F:2 C:3            21/64 (0.328)    21/64 (~0.328125)                  match
+ 5 F:2 C:4            3/36 (0.18)      3/16 (~0.1875)                     paper-typo
+ 6 F:3 C:3            1/9 (0.111)      1/9 (~0.111111)                    match
+ 7 F:4 C:2            5/32 (0.156)     5/32 (~0.15625)                    match
+ 8 F:2 C2xC2          7/32 (0.218)     7/32 (~0.21875)                    match
+ 9 Z:4 C:2            7/32 (0.218)     7/32 (~0.21875)                    match
+10 Z:6 C:2            25/162 (0.154)   25/162 (~0.154321)                 match
+""" + (
+    "11 F:2 S3             5/64 (0.113)     pair 29/256 (~0.113281),"
+    " twosided 5/64 (~0.078125) convention-note\n"
+    "   [table1-F2C4] Denominator misprint: the census gives 3/16, and"
+    " the printed decimal 0.18 rounds 3/16, not 3/36 = 0.083.\n"
+    "   [table1-F2S3] The fraction is the twosided value Pr[ab=0 and"
+    " ba=0] while the decimal (and the table's >= 0.1 cutoff) follow the"
+    " pair value Pr[ab=0]; the two conventions disagree for nonabelian"
+    " groups.\n"
+)
+
+
+def test_table1_text_layout_is_pinned(capsys):
+    code, out, err = run(capsys, "table1")
+    assert code == 0 and not err
+    assert out == TABLE1_TEXT
 
 
 def test_table1_report(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import nullity.oracle
+from nullity import formulas
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
                               chain_histogram_counts, classify_threshold,
@@ -18,6 +19,8 @@ from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
                               p_q8_odd, p_s3_coprime6, product_rule,
                               semisimple_histogram_counts, sweep_catalog,
                               unit_count_cyclic)
+from nullity.errata import ERRATA_BY_KEY, TABLE1_ROWS
+from nullity.groupring import SIDES
 from nullity.groups import cyclic, group_from_spec, q8, s3
 from nullity.oracle import annihilator_histogram
 
@@ -216,6 +219,39 @@ def test_closed_form_dispatch():
         closed_forms(field(2), s3(), "up")
     with pytest.raises(ValueError, match="side"):
         closed_forms(field(2), cyclic(3), "bogus")
+
+
+def test_printed_results_name_their_errata():
+    # one q per five-cycle case: char 5, 2 mod 5, 4 mod 5, 1 mod 5
+    for q, key in ((5, "c5-case1"), (2, None), (4, "c5-case3"),
+                   (11, "c5-case4")):
+        printed, derived = closed_forms(ring_from_spec(f"F:{q}"), cyclic(5))
+        assert (printed.variant, printed.erratum) == (PRINTED, key), q
+        assert (derived.variant, derived.erratum) == (DERIVED, None), q
+    covered = [("F:5", "S3", SIDES), ("F:7", "S3", SIDES),
+               ("F:3", "Q8", SIDES), ("F:5", "Q8", SIDES),
+               ("F:2", "S3", SIDES), ("F:4", "S3", SIDES),
+               ("F:2", "Q8", ("twosided",)), ("F:4", "Q8", ("twosided",)),
+               ("F:2", "C:3", ("left",)), ("F:2", "C:4", ("left",)),
+               ("F:3", "C:9", ("left",)), ("F:4", "C:7", ("left",))]
+    for coeff, group, sides in covered:
+        for side in sides:
+            results = closed_forms(ring_from_spec(coeff),
+                                   group_from_spec(group), side)
+            assert results, (coeff, group, side)
+            assert all(r.erratum is None for r in results), (coeff, group, side)
+
+
+def test_named_errata_exist_and_typeset_values_parse():
+    keys = set(formulas._C5_ERRATUM.values())
+    for coeff, group, typeset, decimal, key in TABLE1_ROWS:
+        assert Fraction(typeset) > 0, (coeff, group)
+        float(decimal)
+        if key is not None:
+            keys.add(key)
+    assert keys == {"c5-case1", "c5-case3", "c5-case4",
+                    "table1-F2C4", "table1-F2S3"}
+    assert keys <= set(ERRATA_BY_KEY)
 
 
 def test_default_sweep_contents():

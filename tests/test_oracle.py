@@ -199,6 +199,10 @@ def test_census_argument_validation():
     for workers in (0, -5, 2.5, True, "2"):
         with pytest.raises(ValueError, match=f"got {workers!r}"):
             annihilator_histogram(field(2), cyclic(2), workers=workers)
+        # Z:n coefficients count pairs and start no threads, but the
+        # argument is checked all the same
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            nullity_probability(integers_mod(4), cyclic(2), workers=workers)
 
 
 def test_pool_size_is_clamped_to_chunk_count():
