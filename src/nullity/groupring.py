@@ -9,7 +9,8 @@ the group position (see :func:`element_vector`).
 This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
 the gather index, element decoding, literal zero-product masks and the
-batched rank kernel.
+two rank kernels: int64 elimination for every field, and packed lanes for
+the slice census over small fields.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -154,11 +155,12 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
 
 def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
     """Ranks of a (B, nrows, ncols) stack by in-place elimination, with the
-    pivot rule of :func:`_gf2_ranks`: per column, (e_r / lead) * pivot is
+    pivot rule of :func:`_lane_ranks`: per column, (e_r / lead) * pivot is
     subtracted from every row r, the pivot row (the first with a nonzero
     entry) included, so the rank goes up by one whenever any row had the
     column.  A lead of 0 (no pivot, e all zero) becomes 1 so that ops.inv
     never sees 0.  `ops` supplies vectorized field arithmetic on index arrays.
+    This int64 kernel serves every field and is the reference.
     """
     B, _, ncols = mats.shape
     b = np.arange(B)
@@ -175,26 +177,103 @@ def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
     return rank
 
 
-def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
-    """Ranks over GF(2) of a (B, nrows, ncols) stack of 0/1 entries,
-    ncols <= 64.
+def _lane_width(p: int, m: int, ncols: int) -> int:
+    """Bits per column of the packed-row kernel over F_{p^m} with ncols
+    columns, or 0 where it does not apply.  F_{2^m} takes m bits (F_2 one
+    bit), F_p takes 4 bits for p <= 7 and 8 bits for p <= 127, and a whole
+    row must fit one uint64."""
+    if p == 2:
+        w = m
+    elif m == 1 and p <= 7:
+        w = 4
+    elif m == 1 and p <= 127:
+        w = 8
+    else:
+        return 0
+    return w if w * ncols <= 64 else 0
 
-    Each row is packed into one uint64 with column j at bit j.  Per column,
-    the first row with that bit set is XORed into every row with the bit,
-    itself included: the pivot row clears itself and the rest lose the
-    bit, so the rank goes up by one whenever any row had it.
-    :func:`_batch_ranks` follows the same pivot rule in field arithmetic.
+
+def _pack_rows(X: np.ndarray, P: np.ndarray, w: int) -> np.ndarray:
+    """The gather X[:, P] as (B, R) uint64 words, column j of each row in
+    lane j (bits w*j to w*j + w - 1).  X holds digits below 2**w; they are
+    gathered as uint8, one column of P at a time, so the (B, R, n) stack
+    is never built.  The gather runs on the transposes, where it copies
+    whole rows."""
+    XT = np.ascontiguousarray(X.T, dtype=np.uint8)
+    rows = np.zeros((P.shape[0], X.shape[0]), dtype=np.uint64)
+    for j in range(P.shape[1]):
+        rows |= XT[P[:, j]].astype(np.uint64) << np.uint64(w * j)
+    return np.ascontiguousarray(rows.T)
+
+
+def _lane_ranks(rows: np.ndarray, K: CoeffRing, ncols: int) -> np.ndarray:
+    """Ranks over F_p or F_{2^m} of (B, R) rows packed by :func:`_pack_rows`
+    with w = _lane_width(K.p, K.m, ncols); rows may be overwritten.
+
+    A lane holds the element index, which over F_{2^m} is the bit vector of
+    its coefficients in t.  Over F_{2^m} lanes add by XOR, and t*x shifts
+    each lane up one bit and folds t**m back in by the modulus.  Over F_p
+    the words are added, and p is subtracted in every lane whose sum
+    reaches p: exactly the lanes whose top bit adding 2**(w-1) - p sets.
+    No lane carries into the next.
+
+    Per column the pivot is the first row with the lane nonzero; its
+    multiples c*pivot, c in K, are built once per batch entry by doubling,
+    and -(e_r / lead)*pivot is added into every row r through one
+    take_along_axis (over F_2, a product).  The pivot row clears itself,
+    as in :func:`_batch_ranks`, so the rank goes up by one whenever any row
+    had the column.
     """
-    ncols = mats.shape[2]
-    rows = np.bitwise_or.reduce(
-        mats.astype(np.uint64) << np.arange(ncols, dtype=np.uint64), axis=2)
-    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    p, q = K.p, K.size
+    w = _lane_width(p, K.m, ncols)
+    low = sum(1 << (w * j) for j in range(ncols))  # bit 0 of every lane
+    lanes, top, shift = np.uint64(low), np.uint64(low << (w - 1)), np.uint64(w - 1)
+    if p == 2:
+        add = np.bitwise_xor
+        fold = np.uint64(K.encode(K.modulus_poly or ()))
+
+        def double(x):  # t * x
+            return ((x & ~top) << np.uint64(1)) ^ (((x >> shift) & lanes) * fold)
+    else:
+        bias, pw = np.uint64(((1 << (w - 1)) - p) * low), np.uint64(p)
+
+        def add(x, y):
+            s = x + y
+            carry = s + bias
+            carry >>= shift
+            carry &= lanes
+            carry *= pw
+            s -= carry
+            return s
+
+        def double(x):
+            return add(x, x)
+    ops = K.array_ops()
+    B = rows.shape[0]
+    b = np.arange(B)
+    mask = np.uint64((1 << w) - 1)
+    mult = np.zeros((B, q), dtype=np.uint64)
+    elems = np.arange(q)[None, :]
+    rank = np.zeros(B, dtype=np.int64)
     for col in range(ncols):
-        has = (rows >> np.uint64(col)) & np.uint64(1)
-        first = np.argmax(has, axis=1)
-        pivot = np.take_along_axis(rows, first[:, None], axis=1)
-        rows ^= has * pivot
-        rank += has.any(axis=1)
+        e = ((rows >> np.uint64(w * col)) & mask).view(np.int64)
+        first = np.argmax(e != 0, axis=1)
+        lead = e[b, first]
+        # mult[:, c] = c * pivot: index 2**i is 2**i over F_p and t**i over
+        # F_{2^m}, and mult[:, 2**i + c] = mult[:, 2**i] + mult[:, c]
+        d, k = rows[b, first], 1
+        while k < q:
+            j = min(k, q - k)
+            mult[:, k:k + j] = add(mult[:, :j], d[:, None])
+            d, k = double(d), 2 * k
+        # step[:, c] = -(c / lead) * pivot, looked up by each row's entry
+        fac = ops.mul(elems, ops.neg(ops.inv(np.where(lead != 0, lead, 1)))[:, None])
+        step = np.take_along_axis(mult, fac, axis=1)
+        if q == 2:  # the lookup is a product, several times cheaper
+            rows ^= e.view(np.uint64) * step[:, 1:]
+        else:
+            rows = add(rows, np.take_along_axis(step, e, axis=1))
+        rank += lead != 0
     return rank
 
 

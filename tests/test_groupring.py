@@ -7,7 +7,8 @@ import pytest
 
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _decode_elements,
-                               _gf2_ranks, _zero_product_masks, annihilator_size,
+                               _lane_ranks, _lane_width, _pack_rows,
+                               _zero_product_masks, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
                                matrix_rank, regular_matrix, ring_size)
@@ -138,6 +139,19 @@ def _reference_rank(K, rows) -> int:
     return rank
 
 
+def _random_stack(K, rng, batch, nrows, n):
+    """(batch, nrows, n) matrices over K of every rank from 0 to n: A @ C
+    with only the first k columns of A kept has rank <= k."""
+    ops = K.array_ops()
+    keep = np.arange(n) < rng.integers(0, n + 1, size=(batch, 1, 1))
+    A = np.where(keep, rng.integers(0, K.size, size=(batch, nrows, n)), 0)
+    C = rng.integers(0, K.size, size=(batch, n, n))
+    mats = np.zeros((batch, nrows, n), dtype=np.int64)
+    for j in range(n):
+        mats = ops.add(mats, ops.mul(A[:, :, j, None], C[:, None, j, :]))
+    return mats
+
+
 @pytest.mark.parametrize("spec,n,batch", [
     ("F:3", 8, 128), ("F:7", 6, 128), ("F:4", 6, 96), ("F:9", 5, 96), ("F:3^8", 4, 32)])
 def test_batch_ranks_equal_reference_elimination(spec, n, batch):
@@ -147,31 +161,36 @@ def test_batch_ranks_equal_reference_elimination(spec, n, batch):
     ops = K.array_ops()
     rng = np.random.default_rng(20261018 + n)
     for nrows in (n, 2 * n):
-        # A @ C with only the first k columns of A kept has rank <= k
-        keep = np.arange(n) < rng.integers(0, n + 1, size=(batch, 1, 1))
-        A = np.where(keep, rng.integers(0, K.size, size=(batch, nrows, n)), 0)
-        C = rng.integers(0, K.size, size=(batch, n, n))
-        mats = np.zeros((batch, nrows, n), dtype=np.int64)
-        for j in range(n):
-            mats = ops.add(mats, ops.mul(A[:, :, j, None], C[:, None, j, :]))
+        mats = _random_stack(K, rng, batch, nrows, n)
         want = [_reference_rank(K, m) for m in mats]
         assert {0, n} < set(want)
         assert _batch_ranks(mats.copy(), ops).tolist() == want
 
 
+def _lane_ranks_of(mats, K):
+    """The lane kernel on a (B, R, n) stack: with X the stack flattened per
+    entry and P[r, j] = r*n + j, the gather X[:, P] is the stack itself."""
+    B, R, n = mats.shape
+    P = np.arange(R * n).reshape(R, n)
+    return _lane_ranks(_pack_rows(mats.reshape(B, -1), P, _lane_width(K.p, K.m, n)),
+                       K, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
 def test_packed_gf2_ranks_equal_int64_ranks(n):
+    K = field(2)
     rng = np.random.default_rng(20261018 + n)
-    ops = field(2).array_ops()
+    ops = K.array_ops()
     for nrows in (n, 2 * n):
         # sparse to dense rows, so that ranks below full occur too
         density = rng.uniform(0.05, 0.95, size=(64, 1, 1))
         mats = (rng.random((64, nrows, n)) < density).astype(np.int64)
-        assert _gf2_ranks(mats).tolist() == _batch_ranks(mats.copy(), ops).tolist()
+        want = _batch_ranks(mats.copy(), ops).tolist()
+        assert _lane_ranks_of(mats, K).tolist() == want
     special = np.stack([np.zeros((n, n), dtype=np.int64),
                         np.eye(n, dtype=np.int64),
                         np.ones((n, n), dtype=np.int64)])
-    assert _gf2_ranks(special).tolist() == [0, n, 1]
+    assert _lane_ranks_of(special, K).tolist() == [0, n, 1]
 
 
 def test_packed_gf2_ranks_use_the_top_bit():
@@ -181,7 +200,41 @@ def test_packed_gf2_ranks_use_the_top_bit():
     top[1, :, 63] = 1
     top[2, 0, 63] = top[2, 1, 62] = top[2, 1, 63] = 1
     top[3, 0, 0] = top[3, 1, 63] = 1
-    assert _gf2_ranks(top).tolist() == [1, 1, 2, 2]
+    assert _lane_ranks_of(top, field(2)).tolist() == [1, 1, 2, 2]
+
+
+def test_lane_width_covers_small_fields_only():
+    assert [_lane_width(2, 1, 64), _lane_width(2, 1, 65)] == [1, 0]
+    assert [_lane_width(p, 1, 16) for p in (3, 5, 7)] == [4, 4, 4]
+    assert [_lane_width(p, 1, 8) for p in (11, 127)] == [8, 8]
+    assert [_lane_width(2, m, 64 // m) for m in (2, 3, 5, 8)] == [2, 3, 5, 8]
+    # too many columns, primes past 127 and odd extension fields stay on int64
+    assert _lane_width(3, 1, 17) == _lane_width(2, 3, 22) == 0
+    assert _lane_width(131, 1, 2) == _lane_width(3, 2, 2) == _lane_width(3, 8, 1) == 0
+
+
+# each field at a small n and at n = 64 // w, the most lanes a word holds:
+# for w = 1, 2, 4 and 8 the top lane ends on bit 63
+LANE_CASES = [("F:3", 3), ("F:3", 16), ("F:5", 2), ("F:5", 16), ("F:7", 3), ("F:7", 16),
+              ("F:11", 3), ("F:11", 8), ("F:127", 2), ("F:127", 8), ("F:4", 3),
+              ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16),
+              ("F:32", 2), ("F:32", 12), ("F:256", 2), ("F:256", 8)]
+
+
+@pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
+def test_lane_ranks_equal_int64_ranks(spec, n):
+    K = ring_from_spec(spec)
+    ops = K.array_ops()
+    rng = np.random.default_rng(20261019 + n)
+    for nrows in (n, 2 * n):
+        mats = _random_stack(K, rng, 48, nrows, n)
+        want = _batch_ranks(mats.copy(), ops).tolist()
+        assert _lane_ranks_of(mats, K).tolist() == want
+    special = np.stack([np.zeros((n, n), dtype=np.int64),
+                        np.eye(n, dtype=np.int64),
+                        np.ones((n, n), dtype=np.int64),
+                        np.full((n, n), K.size - 1, dtype=np.int64)])
+    assert _lane_ranks_of(special, K).tolist() == [0, n, 1, 1]
 
 
 @pytest.mark.parametrize("side", ["left", "right", "twosided"])

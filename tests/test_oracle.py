@@ -9,7 +9,8 @@ import pytest
 from nullity import oracle
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import cyclic_histogram_counts
-from nullity.groupring import CapExceeded, _batch_ranks, _gf2_ranks, ring_size
+from nullity.groupring import (CapExceeded, _batch_ranks, _lane_ranks, _lane_width,
+                               _pack_rows, ring_size)
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
 from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_nullity_probability,
@@ -182,9 +183,40 @@ def test_packed_f2_census_equals_full_census(group):
 def test_packed_f2_chunk_equals_int64_chunk():
     # one whole chunk of the F:2 Q8xC:2 twosided slice gather
     P = _ann_gather_indices(group_from_spec("Q8xC:2").table, "twosided")
-    mats = oracle._census_rows(2, 16, 0, oracle._CHUNK, True)[:, P]
+    X = oracle._census_rows(2, 16, 0, oracle._CHUNK, True)
+    mats = X[:, P]
     assert mats.shape == (8192, 32, 16)
-    assert np.array_equal(_gf2_ranks(mats), _batch_ranks(mats, field(2).array_ops()))
+    assert np.array_equal(_lane_ranks(_pack_rows(X, P, 1), field(2), 16),
+                          _batch_ranks(mats, field(2).array_ops()))
+
+
+LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
+                     ("F:5", "S3", "right"), ("F:5", "S3", "twosided"),
+                     ("F:7", "C:4", "left"), ("F:11", "C:3", "left"),
+                     ("F:4", "S3", "twosided"), ("F:8", "C:3", "left"),
+                     ("F:16", "C:2", "right")]
+
+
+@pytest.mark.parametrize("coeff,group,side", LANE_CENSUS_CASES,
+                         ids=["-".join(c) for c in LANE_CENSUS_CASES])
+def test_lane_census_equals_full_census(coeff, group, side):
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    full = annihilator_histogram(K, G, side, method="full")
+    assert annihilator_histogram(K, G, side).counts == full.counts
+
+
+@pytest.mark.parametrize("coeff,group,side", [
+    ("F:2", "Q8xC:2", "twosided"), ("F:3", "S3", "left"), ("F:7", "C:4", "right"),
+    ("F:127", "C:2", "twosided"), ("F:8", "C:3", "left"), ("F:256", "C:2", "right")])
+def test_rows_packed_at_the_gather_equal_the_packed_stack(coeff, group, side):
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    n = G.order
+    w = _lane_width(K.p, K.m, n)
+    P = _ann_gather_indices(G.table, side)
+    X = oracle._census_rows(K.size, n, 0, min(oracle._CHUNK, K.size ** (n - 1)), True)
+    shifts = np.uint64(w) * np.arange(n, dtype=np.uint64)
+    plain = np.bitwise_or.reduce(X[:, P].astype(np.uint64) << shifts, axis=2)
+    assert np.array_equal(_pack_rows(X, P, w), plain)
 
 
 def test_census_over_large_extension_field():
