@@ -10,7 +10,7 @@ This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
 the gather index, element decoding, literal zero-product masks and the
 two rank kernels: int64 elimination for every field, and packed lanes for
-the slice census over small fields.
+the slice census over F_p (p <= 7) and F_{2^m} (m <= 4).
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -179,15 +179,16 @@ def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
 
 def _lane_width(p: int, m: int, ncols: int) -> int:
     """Bits per column of the packed-row kernel over F_{p^m} with ncols
-    columns, or 0 where it does not apply.  F_{2^m} takes m bits (F_2 one
-    bit), F_p takes 4 bits for p <= 7 and 8 bits for p <= 127, and a whole
-    row must fit one uint64."""
-    if p == 2:
+    columns, or 0 where it does not apply.  F_{2^m} with m <= 4 takes m
+    bits (F_2 one bit), F_p with p <= 7 takes 4 bits, and a whole row must
+    fit one uint64.  The kernel builds all q multiples of each pivot, so
+    its work per column grows with q.  Larger fields stay on int64: from
+    F:17 and F:32 up it ran their censuses faster, and no benchmark
+    workload measures F:11 or F:13, where lanes won at n >= 5."""
+    if p == 2 and m <= 4:
         w = m
     elif m == 1 and p <= 7:
         w = 4
-    elif m == 1 and p <= 127:
-        w = 8
     else:
         return 0
     return w if w * ncols <= 64 else 0
@@ -206,9 +207,10 @@ def _pack_rows(X: np.ndarray, P: np.ndarray, w: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-def _lane_ranks(rows: np.ndarray, K: CoeffRing, ncols: int) -> np.ndarray:
+def _lane_ranks(rows: np.ndarray, K: CoeffRing, w: int, ncols: int) -> np.ndarray:
     """Ranks over F_p or F_{2^m} of (B, R) rows packed by :func:`_pack_rows`
-    with w = _lane_width(K.p, K.m, ncols); rows may be overwritten.
+    in w-bit lanes, w = _lane_width(K.p, K.m, ncols); rows may be
+    overwritten.
 
     A lane holds the element index, which over F_{2^m} is the bit vector of
     its coefficients in t.  Over F_{2^m} lanes add by XOR, and t*x shifts
@@ -225,7 +227,6 @@ def _lane_ranks(rows: np.ndarray, K: CoeffRing, ncols: int) -> np.ndarray:
     had the column.
     """
     p, q = K.p, K.size
-    w = _lane_width(p, K.m, ncols)
     low = sum(1 << (w * j) for j in range(ncols))  # bit 0 of every lane
     lanes, top, shift = np.uint64(low), np.uint64(low << (w - 1)), np.uint64(w - 1)
     if p == 2:
@@ -275,6 +276,16 @@ def _lane_ranks(rows: np.ndarray, K: CoeffRing, ncols: int) -> np.ndarray:
             rows = add(rows, np.take_along_axis(step, e, axis=1))
         rank += lead != 0
     return rank
+
+
+def _slice_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Ranks of the gathered stack X[:, P] over the field K: on packed lanes
+    where :func:`_lane_width` allows them, else by :func:`_batch_ranks`."""
+    n = P.shape[1]
+    w = _lane_width(K.p, K.m, n)
+    if w:
+        return _lane_ranks(_pack_rows(X, P, w), K, w, n)
+    return _batch_ranks(X[:, P], K.array_ops())
 
 
 def matrix_rank(K: CoeffRing, rows) -> int:

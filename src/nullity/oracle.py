@@ -35,8 +35,8 @@ import numpy as np
 
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
-                        _check_side, _decode_elements, _is_int, _lane_ranks,
-                        _lane_width, _pack_rows, _zero_product_masks, ring_size)
+                        _check_side, _decode_elements, _is_int, _slice_ranks,
+                        _zero_product_masks, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
@@ -94,16 +94,15 @@ def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
                   sliced: bool) -> np.ndarray:
     """tab[k, s] = #{x in the chunk : nullity k, support size s}.
 
-    A sliced census over F_p (p <= 127) or F_{2^m} whose rows fit one
-    uint64 packs each row at the gather and ranks on the lane kernel; every
-    other census, method="full" included, gathers the int64 stack X[:, P]
-    for the elimination that stays the reference.
+    A sliced census ranks through :func:`_slice_ranks`, on packed lanes
+    over F_p (p <= 7) and F_{2^m} (m <= 4) when a row fits one uint64;
+    method="full" gathers the int64 stack X[:, P] for the elimination that
+    stays the reference.
     """
     n = P.shape[1]
     X = _census_rows(K.size, n, lo, hi, sliced)
-    w = _lane_width(K.p, K.m, n) if sliced else 0
-    if w:
-        ranks = _lane_ranks(_pack_rows(X, P, w), K, n)
+    if sliced:
+        ranks = _slice_ranks(K, X, P)
     else:
         ranks = _batch_ranks(X[:, P], K.array_ops())
     support = np.count_nonzero(X, axis=1)
