@@ -8,9 +8,12 @@ the group position (see :func:`element_vector`).
 
 This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
-the gather index, element decoding, literal zero-product masks and the
-two rank kernels: int64 elimination for every field, and packed lanes for
-the slice census over F_p (p <= 7) and F_{2^m} (m <= 4).
+the gather index, element decoding, the two rank kernels (int64
+elimination for every field, and packed lanes for the slice census over
+F_p (p <= 7) and F_{2^m} (m <= 4)), and, apart from them, the literal
+products: structure constants over the prime ring and a zero-product mask
+taken by exact float matmuls, which read no rank helper and no
+``K.array_ops()`` table.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -119,24 +122,71 @@ def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
     return (e[:, None] // pows[None, :]) % size
 
 
-def _zero_product_masks(table: np.ndarray, a_vec: np.ndarray, X: np.ndarray,
-                        ops) -> np.ndarray:
-    """Boolean mask over all b: is a*b = 0.
+def _exact_float(D: int, N: int):
+    """Float dtype in which :func:`_zero_product_mask` is exact over D
+    coordinates mod N: every product sum is an integer of at most
+    D*(N-1)**2, and the zero test rounds S/N and multiplies back by N."""
+    bound = D * (N - 1) ** 2 + N
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise ValueError(f"literal products over D = {D} coordinates mod N = {N} "
+                     f"reach {bound}, past the exact float64 range 2**53")
 
-    Literal convolution: for each basis position g with a_g nonzero, the
-    products a_g * b_h are accumulated into position table[g, h]; column n
-    absorbs the zero products and is ignored.  No ranks, no kernels.
+
+def _structure_constants(K: CoeffRing, table: np.ndarray) -> tuple[np.ndarray, int]:
+    """(T, N): the structure constants of K[table] over its prime ring Z/N.
+
+    N is p for fields and n for Z:n.  With m = [K : F_p] (1 for Z:n),
+    coordinate g*m + i stands for t**i * b_g, so the base-N digits of an
+    element index are its coordinates (:func:`_decode_elements` with
+    D = n*m).  T[(g, i), (h, j), (c, k)] is the t**k digit of t**(i+j)
+    wherever table[g, h] = c < n; a zero product (entry n) adds nothing.
+    Raises ValueError before building anything if the products are past
+    exact float64.
     """
     n = table.shape[0]
-    fwd = np.zeros((X.shape[0], n + 1), dtype=np.int64)
-    for g, ag in enumerate(a_vec):
-        ag = int(ag)
-        if ag == 0:
-            continue
-        contrib = ops.mul(np.int64(ag), X)
-        cols = table[g]
-        fwd[:, cols] = ops.add(fwd[:, cols], contrib)
-    return ~fwd[:, :n].any(axis=1)
+    N = K.characteristic
+    m = K.m if K.is_field else 1
+    D = n * m
+    _exact_float(D, N)
+    tpow = K._tpow or [(1,)]
+    T = np.zeros((D, D, D), dtype=np.int64)
+    g, h = np.nonzero(table < n)
+    c = table[g, h][:, None] * m + np.arange(m)
+    for i in range(m):
+        for j in range(m):
+            T[(g * m + i)[:, None], (h * m + j)[:, None], c] = tpow[i + j]
+    return T, N
+
+
+def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray,
+                       B: np.ndarray) -> np.ndarray:
+    """Z[r, s] = (a_r * b_s == 0) for coordinate rows A and B (base-N
+    digits, see :func:`_structure_constants`).
+
+    Literal products: output coordinate w of a*b is a @ T[:, :, w] @ b
+    mod N, taken as L = (A @ T[:, :, w]) % N in int64 and S = L @ B.T as
+    a float matmul, exact in :func:`_exact_float`'s dtype; when B has
+    fewer rows than A, T[:, :, w] @ B.T is reduced first instead.  No
+    ranks, no kernels.
+    """
+    D = T.shape[0]
+    dtype = _exact_float(D, N)
+    if A.shape[0] <= B.shape[0]:
+        Bt = B.T.astype(dtype)
+        blocks = (((A @ T[:, :, w]) % N).astype(dtype) @ Bt for w in range(D))
+    else:
+        Af = A.astype(dtype)
+        blocks = (Af @ ((T[:, :, w] @ B.T) % N).astype(dtype) for w in range(D))
+    zero = np.ones((A.shape[0], B.shape[0]), dtype=bool)
+    for S in blocks:
+        Q = S / N
+        np.rint(Q, out=Q)
+        Q *= N
+        zero &= Q == S
+    return zero
 
 
 def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
@@ -319,8 +369,9 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     """|Ann_side(x)| by testing every candidate annihilator directly.
 
     Works over any coefficient ring; used as the rank-free cross-check.
-    Each candidate a is one literal product: the transposed table gives
-    a*x, the table gives x*a.
+    Each candidate a is one literal product from the structure constants
+    (:func:`_zero_product_mask`), with x as a one-row block: a*x for the
+    left side, x*a for the right.
     """
     _check_side(side)
     _check_vector(K, G, x)
@@ -328,11 +379,13 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     if total > cap:
         raise CapExceeded(
             f"enumeration over |K|^n = {total} candidates exceeds cap {cap}")
-    X = _decode_elements(K.size, G.order, 0, total)
-    ops = K.array_ops()
+    T, N = _structure_constants(K, G.table)
+    X = _decode_elements(N, T.shape[0], 0, total)
+    e = element_index(K, G, x)
+    xr = X[e:e + 1]
     zero = np.ones(total, dtype=bool)
     if side in ("left", "twosided"):
-        zero &= _zero_product_masks(G.table.T, x, X, ops)
+        zero &= _zero_product_mask(T, N, X, xr)[:, 0]
     if side in ("right", "twosided"):
-        zero &= _zero_product_masks(G.table, x, X, ops)
+        zero &= _zero_product_mask(T, N, xr, X)[0]
     return int(np.count_nonzero(zero))

@@ -7,16 +7,18 @@ Two independent routes are kept deliberately separate:
   counts[k] = #{x : |Ann_side(x)| = |K|**k}.  By default only the slice
   {x : x_e = 1} is ranked and each slice element is weighted by its orbit
   size; method="full" ranks every element and is the reference;
-* naive pair counting: literal convolution products over all (a, b) pairs
-  with no linear algebra anywhere, used to cross-validate the census and to
-  cover Z:n coefficients where rank is meaningless.
+* naive pair counting: the literal product of every ordered pair (a, b),
+  from the algebra's structure constants over its prime ring Z/N, run as
+  exact float matmuls on blocks of rows; no rank, no kernel and none of
+  the census's field tables.  It cross-validates the census and covers
+  Z:n coefficients, where rank is meaningless.
 
 Both routes read one multiplication table over a basis: table[i, j] is the
 index of b_i * b_j, or n when the product is zero.  A group's Cayley table
 and the matrix units of M_m (E_ij E_kl = [j == k] E_il) are both such
 tables, so group algebras and matrix rings share the code.  The table
-helpers (gather index, element decoding, literal zero-product masks, rank
-kernel) live in :mod:`nullity.groupring`.
+helpers (gather index, element decoding, structure constants and the
+literal zero-product mask, rank kernels) live in :mod:`nullity.groupring`.
 
 Chunk boundaries depend only on the amount of work, so histograms are
 identical for any worker count; partial tables merge by componentwise
@@ -36,12 +38,14 @@ import numpy as np
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
                         _check_side, _decode_elements, _is_int, _slice_ranks,
-                        _zero_product_masks, ring_size)
+                        _structure_constants, _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
 DEFAULT_MAX_PAIRS = 1 << 20
 _CHUNK = 1 << 13
+# float entries per product block of the pair counter (256 KiB in float32)
+_PRODUCT_BLOCK = 1 << 16
 
 CENSUS_METHODS = ("slice", "full")
 
@@ -235,18 +239,20 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
 
 def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarray:
     """Z[a, b] = (a*b == 0) over all element indices, one literal product
-    per ordered pair."""
+    per ordered pair, from the structure constants over K's prime ring in
+    blocks of rows of a."""
     n = table.shape[0]
     total = K.size**n
     if total * total > max_pairs:
         raise CapExceeded(
             f"naive count over |K|^n squared = {total * total} pairs "
             f"exceeds max_pairs={max_pairs}")
-    X = _decode_elements(K.size, n, 0, total)
-    ops = K.array_ops()
+    T, N = _structure_constants(K, table)
+    X = _decode_elements(N, T.shape[0], 0, total)
+    rows = max(1, _PRODUCT_BLOCK // total)
     Z = np.empty((total, total), dtype=bool)
-    for a in range(total):
-        Z[a] = _zero_product_masks(table, X[a], X, ops)
+    for lo in range(0, total, rows):
+        Z[lo:lo + rows] = _zero_product_mask(T, N, X[lo:lo + rows], X)
     return Z
 
 

@@ -7,11 +7,13 @@ import pytest
 
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _decode_elements,
-                               _lane_width, _slice_ranks, _zero_product_masks, annihilator_size,
+                               _lane_width, _slice_ranks, _structure_constants,
+                               _zero_product_mask, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
                                matrix_rank, regular_matrix, ring_size)
 from nullity.groups import cyclic, group_from_spec, q8, s3
+from nullity.oracle import _matrix_unit_table
 
 
 def test_element_codec_roundtrip():
@@ -243,7 +245,8 @@ def test_rank_route_equals_enumeration_route(side):
         by_rank = annihilator_size(K, G, x, side)
         by_enum = annihilator_size_by_enumeration(K, G, x, side)
         assert by_rank == by_enum
-    # F:3^8 has no dense tables: the masks run on scalar field arithmetic
+    # F:3^8 has no dense tables: the rank route runs on scalar field
+    # arithmetic, the literal route on the structure constants over F_3
     K, G = field(3, 8), cyclic(1)
     for x in ((0,), (5,)):
         assert (annihilator_size(K, G, x, side)
@@ -256,20 +259,108 @@ def test_rank_route_equals_enumeration_route(side):
     ("F:4", "C2xC2", [(1, 2, 3, 0), (1, 1, 1, 1), (0, 3, 0, 2)]),
 ])
 def test_zero_product_masks_orientation(coeff, group, xs):
-    # the transposed table tests a*x = 0, the table x*a = 0; S3 cases pick
+    # A = X, B = x tests a*x = 0, A = x, B = X tests x*a = 0; S3 cases pick
     # x whose left and right masks differ, so a swap would fail here
     K, G = ring_from_spec(coeff), group_from_spec(group)
     n, total = G.order, ring_size(K, G)
-    X = _decode_elements(K.size, n, 0, total)
+    T, N = _structure_constants(K, G.table)
+    X = _decode_elements(N, T.shape[0], 0, total)
     zero = (0,) * n
     elements = [element_vector(K, G, e) for e in range(total)]
     for x in xs:
-        left = _zero_product_masks(G.table.T, x, X, K.array_ops())
-        right = _zero_product_masks(G.table, x, X, K.array_ops())
+        e = element_index(K, G, x)
+        left = _zero_product_mask(T, N, X, X[e:e + 1])[:, 0]
+        right = _zero_product_mask(T, N, X[e:e + 1], X)[0]
         assert left.tolist() == [gr_multiply(K, G, a, x) == zero for a in elements]
         assert right.tolist() == [gr_multiply(K, G, x, a) == zero for a in elements]
         if group == "S3":
             assert not np.array_equal(left, right)
+
+
+def _coordinate_rows(K, n, vectors):
+    """Coordinate rows (base-N digits) of coefficient vectors of length n."""
+    m = K.m if K.is_field else 1
+    N = K.characteristic
+    digits = [[(c // N**i) % N for c in v for i in range(m)] for v in vectors]
+    return np.array(digits, dtype=np.int64).reshape(len(vectors), n * m)
+
+
+def _random_vectors(K, n, rng, count):
+    """Random coefficient vectors with zero divisors among them: dense and
+    sparse vectors, multiples of a proper divisor d of |K| under Z:n (so
+    some products vanish only mod N), and for a group c*(1 - g) and c times
+    the sum of all g, whose product is zero."""
+    q = K.size
+    d = next((d for d in range(2, q) if q % d == 0), 1) if not K.is_field else 1
+    out = [(0,) * n]
+    for i in range(count - 1):
+        v = rng.integers(0, q, size=n)
+        kind = i % 4
+        if kind == 1:
+            v = v * (rng.random(n) < 0.3)
+        elif kind == 2 and d > 1:
+            v = (v * rng.choice([d, q // d])) % q
+        elif kind == 3:
+            c, g = int(rng.integers(1, q)), int(rng.integers(0, n))
+            v = np.full(n, c) if rng.random() < 0.5 else np.eye(n, dtype=np.int64)[0] * c
+            if g and v[g] == 0:
+                v[g] = K.neg(c)
+        out.append(tuple(int(c) for c in v))
+    return out
+
+
+@pytest.mark.parametrize("coeff, groups", [
+    ("F:2", ["C:6", "S3", "Q8", "C2xC2"]),
+    ("F:3", ["C:3", "S3", "Q8"]),
+    ("F:4", ["C:4", "S3", "C2xC2"]),
+    ("F:8", ["C:2", "S3"]),
+    ("F:9", ["C:3", "Q8"]),
+    ("F:3^8", ["C:1"]),
+    ("Z:4", ["C:4", "S3", "Q8", "C2xC2"]),
+    ("Z:6", ["C:3", "S3"]),
+    ("Z:9", ["C:3", "C2xC2"]),
+])
+def test_structure_constant_masks_equal_python_products(coeff, groups):
+    rng = np.random.default_rng(sum(map(ord, coeff)))
+    K = ring_from_spec(coeff)
+    hits = 0
+    for group in groups:
+        G = group_from_spec(group)
+        n = G.order
+        A, B = (_random_vectors(K, n, rng, 14) for _ in range(2))
+        T, N = _structure_constants(K, G.table)
+        got = _zero_product_mask(T, N, _coordinate_rows(K, n, A), _coordinate_rows(K, n, B))
+        want = [[gr_multiply(K, G, a, b) == (0,) * n for b in B] for a in A]
+        assert got.tolist() == want, group
+        hits += sum(w and any(a) and any(b) for a, row in zip(A, want) for b, w in zip(B, row))
+    assert hits or coeff == "F:3^8"  # zero divisors were drawn; a field has none
+    if coeff == "Z:4":  # 2 * 2 = 4 vanishes only mod 4
+        T, N = _structure_constants(K, group_from_spec("C:1").table)
+        mask = _zero_product_mask(T, N, np.array([[2], [1]]), np.array([[2]]))
+        assert mask.tolist() == [[True], [False]]
+
+
+@pytest.mark.parametrize("coeff", ["F:2", "F:4", "Z:4", "Z:6"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_matrix_unit_masks_equal_python_matrix_products(coeff, m):
+    rng = np.random.default_rng(m * 100 + len(coeff))
+    K = ring_from_spec(coeff)
+    A, B = (_random_vectors(K, m * m, rng, 12) for _ in range(2))
+
+    def product(a, b):  # row-major entries, (ab)_il = sum_j a_ij b_jl
+        out = []
+        for i in range(m):
+            for j in range(m):
+                s = 0
+                for k in range(m):
+                    s = K.add(s, K.mul(a[i * m + k], b[k * m + j]))
+                out.append(s)
+        return out
+
+    T, N = _structure_constants(K, _matrix_unit_table(m))
+    got = _zero_product_mask(T, N, _coordinate_rows(K, m * m, A),
+                             _coordinate_rows(K, m * m, B))
+    assert got.tolist() == [[not any(product(a, b)) for b in B] for a in A]
 
 
 def test_rank_nullity_relation():

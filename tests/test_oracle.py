@@ -1,13 +1,14 @@
 """Exhaustive census engine: histograms, pair counters, record emission."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nullity import oracle
-from nullity.coeffring import field, integers_mod, ring_from_spec
+from nullity import groupring, oracle
+from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.formulas import cyclic_histogram_counts
 from nullity.groupring import (CapExceeded, _batch_ranks, _lane_width, _pack_rows,
                                _slice_ranks, ring_size)
@@ -18,7 +19,8 @@ from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             pair_count_direct_sum, pair_count_naive,
                             record_json, record_text,
                             zero_product_matrix)
-from nullity.groupring import element_vector, gr_multiply
+from nullity.groupring import (annihilator_size_by_enumeration, element_vector,
+                               gr_multiply)
 from nullity.oracle import (_ann_gather_indices, _census, _matrix_unit_table,
                             _pair_count)
 
@@ -377,3 +379,65 @@ def test_twosided_pair_count_equals_brute_double_loop():
     brute = sum(1 for a in elems for b in elems
                 if gr_multiply(K, G, a, b) == zero == gr_multiply(K, G, b, a))
     assert pair_count_naive(K, G, "ab=0&ba=0") == brute
+
+
+@pytest.mark.parametrize("coeff, group", [("F:2", "C:10"), ("F:4", "C:5"), ("F:32", "C:2")])
+def test_pair_count_equals_census_at_benchmark_scale(coeff, group):
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    one_sided = pair_count_naive(K, G, "ab=0")
+    for side in ("left", "right"):
+        assert annihilator_histogram(K, G, side).weighted_sum() == one_sided
+    assert (annihilator_histogram(K, G, "twosided").weighted_sum()
+            == pair_count_naive(K, G, "ab=0&ba=0"))
+
+
+def test_mod_ring_pair_count_frozen():
+    # frozen from the per-element convolution counter the structure
+    # constants replaced
+    K, G = integers_mod(4), cyclic(5)
+    assert pair_count_naive(K, G, "ab=0") == 5888
+    assert pair_count_naive(K, G, "ab=0&ba=0") == 5888
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_pair_count_on_both_sides_of_the_float32_bound(n):
+    # D = 1: products reach (n-1)**2 + n, below 2**24 for 4096 only, so
+    # Z:4096 runs in float32 and Z:4097 in float64; ab = 0 has gcd(a, n)
+    # solutions b
+    assert groupring._exact_float(1, n) == (np.float32 if n == 4096 else np.float64)
+    count = pair_count_naive(integers_mod(n), cyclic(1), max_pairs=1 << 25)
+    assert count == sum(math.gcd(a, n) for a in range(n))
+
+
+def test_literal_products_past_float64_are_refused_before_allocation(monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("elements decoded before the exactness guard")
+
+    monkeypatch.setattr(oracle, "_decode_elements", no_decode)
+    monkeypatch.setattr(groupring, "_decode_elements", no_decode)
+    K, G = integers_mod(1 << 27, max_size=1 << 28), cyclic(1)
+    with pytest.raises(ValueError, match="D = 1 coordinates mod N = 134217728"):
+        pair_count_naive(K, G, max_pairs=1 << 54)
+    with pytest.raises(ValueError, match="D = 1 coordinates mod N = 134217728"):
+        annihilator_size_by_enumeration(K, G, (5,), cap=1 << 27)
+
+
+def test_literal_route_reads_no_census_helper(monkeypatch):
+    K4, C3 = field(2, 2), cyclic(3)
+    want = [annihilator_histogram(K4, C3, side).weighted_sum()
+            for side in ("left", "twosided")]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the literal route read a census helper")
+
+    monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
+    for name in ("_ann_gather_indices", "_batch_ranks", "_slice_ranks", "_lane_ranks"):
+        monkeypatch.setattr(groupring, name, forbidden)
+        monkeypatch.setattr(oracle, name, forbidden, raising=False)
+    assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want
+    assert pair_count_naive(field(2), s3(), "ab=0") == 464
+    assert m2_pair_count_naive(field(2), "ab=0&ba=0") == 40
+    K, G = field(2), s3()
+    sizes = [annihilator_size_by_enumeration(K, G, element_vector(K, G, e), "left")
+             for e in range(ring_size(K, G))]
+    assert sum(sizes) == 464
