@@ -5,8 +5,10 @@ Two independent routes are kept deliberately separate:
 * the annihilator census: regular matrices are built and their ranks taken
   by batched Gaussian elimination, giving the histogram
   counts[k] = #{x : |Ann_side(x)| = |K|**k}.  By default only the slice
-  {x : x_e = 1} is ranked and each slice element is weighted by its orbit
-  size; method="full" ranks every element and is the reference;
+  {x : x_0 = 1} on basis element 0 (the identity of a group, E_00 of a
+  matrix ring) is ranked and each slice element is weighted by its orbit
+  size, for group algebras and matrix units alike; method="full" ranks
+  every element and is the reference;
 * naive pair counting: the literal product of every ordered pair (a, b),
   from the algebra's structure constants over its prime ring Z/N, run as
   exact float matmuls on blocks of rows; no rank, no kernel and none of
@@ -155,17 +157,19 @@ def annihilator_histogram(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     |K|^n whichever method runs.
 
     method="slice" (the default) ranks only the |K|^(n-1) elements with
-    x_e = 1.  |Ann_side(x)| is constant on the orbits of x -> c*g*x (c in
-    K*, g in G), and exactly |supp x| of the pairs (c, g) put c*g*x in the
-    slice, so sum over x != 0 of f(x) equals sum over slice y of
+    x_e = 1.  The weights hold for any group H of units (u, v) acting by
+    x -> u*x*v that permutes the basis coordinates regularly without
+    scaling them; here H is G acting by left multiplication (u = g, v = 1).
+    |Ann_side(x)| is constant on the orbits of x -> c*u*x*v (c in K*), and
+    exactly |supp x| of the n(q-1) pairs (c, h) put c*h(x) in the slice, so
+    sum over x != 0 of f(x) equals sum over slice y of
     f(y) * n(q-1)/|supp y|.  Invariance holds on every side:
 
-    * left and right: g is a unit, so Ann_l(gx) = Ann_l(x) g^-1 and
-      Ann_r(gx) = Ann_r(x);
-    * twosided: under the symmetric trace form <a, b> = (ab)_e, the set
-      T(x) = {b : xb = 0 = bx} is (Ax + xA)^perp, with A = K[G].  Ax is a
-      left ideal, so A(gx) + (gx)A = Ax + g x A = g(Ax + xA), which has the
-      dimension of Ax + xA; hence |T(gx)| = |T(x)|.
+    * left: b*u*x*v = 0 iff (b*u)*x = 0, so Ann_l(uxv) = Ann_l(x) u^-1;
+    * right: likewise Ann_r(uxv) = v^-1 Ann_r(x);
+    * twosided: with T(x) = {b : xb = 0 = bx}, the map b -> v*b*u sends
+      T(uxv) onto T(x) (x(vbu) = u^-1 (uxv b) u and (vbu)x = v (b uxv) v^-1)
+      and is inverted by b -> v^-1 b u^-1; hence |T(uxv)| = |T(x)|.
 
     method="full" ranks all |K|^n elements; it is the reference for
     cross-checks.
@@ -186,8 +190,13 @@ def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
     """Census of the algebra with basis multiplication `table` (entry n
     for a zero product) over the field K.
 
-    sliced=True ranks only the slice x_e = 1 and needs a group table:
-    the orbit weights assume every basis element is a unit.
+    sliced=True ranks only the slice x_0 = 1 on basis element 0.  Its
+    orbit weights need a group of units that permutes the basis
+    coordinates regularly without scaling them, acting by x -> u*x*v as in
+    :func:`annihilator_histogram`: left multiplication on a group table,
+    cyclic row and column shifts on matrix units.  A table with no such
+    action (upper-triangular and other monomial algebras) needs
+    sliced=False, which ranks every element and stays the reference.
     """
     n = table.shape[0]
     total = K.size**n
@@ -320,12 +329,18 @@ def _matrix_unit_table(m: int) -> np.ndarray:
 
 def m2_annihilator_histogram(K: CoeffRing, side: str = "left", *,
                              max_elements: int = DEFAULT_MAX_ELEMENTS) -> AnnihilatorHistogram:
-    """Annihilator census of the full 2x2 matrix ring over a field."""
+    """Annihilator census of the full 2x2 matrix ring over a field.
+
+    Ranks only the q^3 slice elements with E_00 coefficient 1, weighted as
+    for groups.  With S the cyclic shift permutation matrix, x -> S^a x S^-b
+    sends E_ij to E_{i+a, j+b} (indices mod 2), so C_2 x C_2 permutes the
+    four matrix units regularly without scaling them.
+    """
     _check_side(side)
     if not K.is_field:
         raise ValueError(f"matrix-ring census needs a field, got {K.spec}")
     return _census(K, "M2", _matrix_unit_table(2), side,
-                   max_elements=max_elements, workers=1, sliced=False)
+                   max_elements=max_elements, workers=1, sliced=True)
 
 
 def m2_nullity_probability(K: CoeffRing, side: str = "left", *,

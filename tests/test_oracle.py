@@ -362,6 +362,86 @@ def test_m3_weighted_sum_equals_literal_pair_count():
     assert _pair_count(K, table, "ab=0", 2**18) == hist.weighted_sum()
 
 
+MATRIX_SLICE_CASES = ([(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)]
+                      + [(3, 2), (3, 3)])
+
+
+@pytest.mark.parametrize("m,q", MATRIX_SLICE_CASES,
+                         ids=[f"M{m}-F:{q}" for m, q in MATRIX_SLICE_CASES])
+def test_matrix_slice_census_equals_full_census(m, q, monkeypatch):
+    # F:2-F:7, F:8 and F:16 rank on lanes of width 1-4, F:9 and F:11 on int64
+    K, table = ring_from_spec(f"F:{q}"), _matrix_unit_table(m)
+    for side in ("left", "right", "twosided"):
+        if (m, side) == (3, "left"):  # the full census, pinned above
+            full = M3_COUNTS[q]
+        else:
+            full = _census(K, f"M{m}", table, side, max_elements=q**(m * m),
+                           workers=1, sliced=False).counts
+        if m == 2:
+            assert m2_annihilator_histogram(K, side).counts == full
+        with monkeypatch.context() as mp:
+            # four or five chunks of the slice for two workers to share
+            mp.setattr(oracle, "_CHUNK", max(1, q**(m * m - 1) // 4))
+            for workers in (1, 2):
+                assert _census(K, f"M{m}", table, side, max_elements=q**(m * m),
+                               workers=workers, sliced=True).counts == full
+
+
+def _ann_size(K, table, x, side):
+    M = np.array([*x, 0], dtype=np.int64)[_ann_gather_indices(table, side)]
+    return K.size ** (table.shape[0] - groupring.matrix_rank(K, M))
+
+
+@pytest.mark.parametrize("m,p", [(2, 5), (3, 3)])
+def test_cyclic_shifts_permute_matrix_units_and_keep_annihilators(m, p):
+    # the matrix-ring slice weights rest on x -> S^a x S^-b permuting the
+    # coordinates regularly, without scaling, and keeping |Ann| on every side
+    K, table = field(p), _matrix_unit_table(m)
+    S = np.roll(np.eye(m, dtype=np.int64), 1, axis=0)  # S e_j = e_{j+1}
+    shifts = [(np.linalg.matrix_power(S, a), np.linalg.matrix_power(S.T, b))
+              for a in range(m) for b in range(m)]
+    for k in range(m * m):  # each unit E_k lands once on every unit, unscaled
+        E = np.eye(m * m, dtype=np.int64)[k].reshape(m, m)
+        images = [(u @ E @ v).ravel() for u, v in shifts]
+        assert all(sorted(y) == [0] * (m * m - 1) + [1] for y in images)
+        assert sorted(int(np.argmax(y)) for y in images) == list(range(m * m))
+    rng = np.random.default_rng(15)
+    sizes = set()
+    for r in [0, 1, m - 1, m] * 4:  # x = A B of rank at most r
+        x = (rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, m))) % p
+        want = [_ann_size(K, table, x.ravel(), side)
+                for side in ("left", "right", "twosided")]
+        sizes.add(tuple(want))
+        for u, v in shifts:
+            y = (u @ x @ v) % p
+            assert [_ann_size(K, table, y.ravel(), side)
+                    for side in ("left", "right", "twosided")] == want
+    assert len(sizes) > 2
+
+
+@pytest.mark.parametrize("side", ["left", "right", "twosided"])
+@pytest.mark.parametrize("q", [5, 11])
+def test_matrix_census_ranks_only_the_slice(q, side, monkeypatch):
+    # a silent fall-back to the full census would still give the right
+    # histogram, so count the rows ranked: q**3 slice elements, not q**4
+    ranked = []
+    slice_ranks = oracle._slice_ranks
+
+    def spy(K, X, P):
+        ranked.append(X.shape[0])
+        return slice_ranks(K, X, P)
+
+    def full_stack(*args):
+        raise AssertionError("the matrix census ranked the full stack")
+
+    monkeypatch.setattr(oracle, "_slice_ranks", spy)
+    monkeypatch.setattr(oracle, "_batch_ranks", full_stack)
+    K = field(q)
+    hist = m2_annihilator_histogram(K, side)
+    assert sum(ranked) == q**3
+    assert sum(hist.counts) == q**4
+
+
 @pytest.mark.parametrize("group", ["S3", "Q8", "C2xC2"])
 def test_table_gather_matches_group_inverse_form(group):
     G = group_from_spec(group)
