@@ -23,6 +23,10 @@ computed from the side="right" regular matrix, and vice versa.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
 
 from .coeffring import CoeffRing
@@ -161,6 +165,47 @@ def _structure_constants(K: CoeffRing, table: np.ndarray) -> tuple[np.ndarray, i
     return T, N
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None under any other BLAS.  dlsym on numpy's core extension module
+    also searches the libraries that module links."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed float matmuls on the calling thread alone.  The
+    literal products are small (D inner coordinates), a second OpenBLAS
+    thread saves little on them, and OpenBLAS workers keep spinning on a
+    CPU after each threaded call, slowing whatever the process runs next."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray,
                        B: np.ndarray) -> np.ndarray:
     """Z[r, s] = (a_r * b_s == 0) for coordinate rows A and B (base-N
@@ -181,11 +226,12 @@ def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray,
         Af = A.astype(dtype)
         blocks = (Af @ ((T[:, :, w] @ B.T) % N).astype(dtype) for w in range(D))
     zero = np.ones((A.shape[0], B.shape[0]), dtype=bool)
-    for S in blocks:
-        Q = S / N
-        np.rint(Q, out=Q)
-        Q *= N
-        zero &= Q == S
+    with _one_blas_thread():
+        for S in blocks:
+            Q = S / N
+            np.rint(Q, out=Q)
+            Q *= N
+            zero &= Q == S
     return zero
 
 

@@ -1,5 +1,6 @@
 """Group ring elements, regular representation matrices, annihilator sizes."""
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _decode_elements,
-                               _lane_width, _slice_ranks, _structure_constants,
+                               _lane_width, _one_blas_thread, _openblas_threads,
+                               _slice_ranks, _structure_constants,
                                _zero_product_mask, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
@@ -338,6 +340,38 @@ def test_structure_constant_masks_equal_python_products(coeff, groups):
         T, N = _structure_constants(K, group_from_spec("C:1").table)
         mask = _zero_product_mask(T, N, np.array([[2], [1]]), np.array([[2]]))
         assert mask.tolist() == [[True], [False]]
+
+
+def test_literal_products_run_on_one_blas_thread(monkeypatch):
+    # the float matmuls run on the calling thread and the caller's OpenBLAS
+    # thread count comes back afterwards, also when the products raise
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, _ = threads
+    before = get()
+    with _one_blas_thread():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError), _one_blas_thread():
+        raise RuntimeError
+    assert get() == before
+
+    import nullity.groupring as gr
+    entered = []
+
+    @contextlib.contextmanager
+    def spy():
+        with _one_blas_thread():
+            entered.append(get())
+            yield
+
+    monkeypatch.setattr(gr, "_one_blas_thread", spy)
+    K, G = field(2), cyclic(4)
+    T, N = _structure_constants(K, G.table)
+    X = _decode_elements(N, T.shape[0], 0, ring_size(K, G))
+    _zero_product_mask(T, N, X, X)
+    assert entered == [1] and get() == before
 
 
 @pytest.mark.parametrize("coeff", ["F:2", "F:4", "Z:4", "Z:6"])
