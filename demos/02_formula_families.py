@@ -8,24 +8,19 @@ comparison.
 """
 
 from nullity import annihilator_histogram, closed_forms, ring_from_spec
-from nullity.formulas import (p_c5, p_cyclic_chain, p_cyclic_semisimple,
-                              p_matrix2, p_q8_odd)
+from nullity.formulas import p_c5, p_cyclic, p_matrix2, p_q8_odd
 from nullity.groups import cyclic, group_from_spec
 from nullity.oracle import m2_nullity_probability
 
-# coprime cyclic: the algebra splits into fields, P multiplies
-for q, n in ((2, 3), (3, 2), (7, 6)):
-    formula = p_cyclic_semisimple(q, n).value
+# cyclic groups of any order: F_q[C_n] splits into chain rings
+# F_{q^d}[y]/(y^L), fields when gcd(q, n) = 1, and P multiplies over them;
+# coprime, characteristic-power and mixed (F:2 C:6) instances alike
+for q, n in ((2, 3), (3, 2), (7, 6), (2, 4), (3, 3), (5, 5), (2, 6)):
+    result = p_cyclic(q, n)
     census = annihilator_histogram(ring_from_spec(f"F:{q}"), cyclic(n))
-    print(f"F:{q} C:{n}  formula {formula}  census {census.probability()}")
-    assert formula == census.probability()
-
-# characteristic divides the order: one chain ring, one short formula
-for q, n in ((2, 4), (3, 3), (5, 5)):
-    formula = p_cyclic_chain(q, n).value
-    census = annihilator_histogram(ring_from_spec(f"F:{q}"), cyclic(n))
-    print(f"F:{q} C:{n}  formula {formula}  census {census.probability()}")
-    assert formula == census.probability()
+    print(f"F:{q} C:{n}  formula {result.value}  census {census.probability()}"
+          f"  [{result.variant}: {result.provenance}]")
+    assert result.value == census.probability()
 
 # 2x2 matrices over F_q, the nonabelian building block
 for q in (2, 3):

@@ -1,10 +1,11 @@
 """Closed-form zero-product probabilities and the structure data behind
 them, and the threshold classifier over instance catalogs.
 
-F_q[C_n] has one decomposition, `cyclic_components`: a direct sum of chain
-rings F_{q^d}[y]/(y^L), fields when L = 1.  Every cyclic probability (by
-the product rule), histogram prediction (a product of component
-polynomials) and unit count reads it.
+Every derived value comes from one engine over a component list: (d, L, m)
+stands for M_m(F_{q^d}[y]/(y^L)), L = 1 or m = 1.  The histogram is the
+product of the component polynomials and P the product of the component
+values.  `cyclic_components` lists F_q[C_n] for any n; S3 (gcd(q, 6) = 1)
+and Q8 (q odd) are fields plus one M_2(F_q).
 
 Every probability is an exact Fraction.  Results carry a `variant` tag:
 "printed" evaluates a published polynomial exactly as typeset, "derived"
@@ -18,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 from . import oracle
 from .coeffring import CoeffRing, prime_power_decomposition, ring_from_spec
@@ -99,9 +103,9 @@ def _p_part(q: int, n: int) -> tuple[int, int]:
     return L, m
 
 
-def cyclic_components(q: int, n: int) -> list[tuple[int, int]]:
-    """F_q[C_n] as a sum of chain rings F_{q^d}[y]/(y^L), one (d, L) pair
-    per summand, divisors ascending.
+def cyclic_components(q: int, n: int) -> list[tuple[int, int, int]]:
+    """F_q[C_n] as a sum of chain rings F_{q^d}[y]/(y^L), one (d, L, 1)
+    component per summand, divisors ascending.
 
     With n = L*m and L the p-part of n, each divisor l of m gives
     phi(l)/d copies, d the multiplicative order of q mod l.  L = 1 is the
@@ -111,98 +115,76 @@ def cyclic_components(q: int, n: int) -> list[tuple[int, int]]:
     out = []
     for l in divisors(m):
         d = multiplicative_order(q, l)
-        out += [(d, L)] * (euler_phi(l) // d)
+        out += [(d, L, 1)] * (euler_phi(l) // d)
     return out
 
 
-def p_field(q: int) -> Fraction:
-    """Zero-pair probability of the field F_q itself: (2q-1)/q^2."""
-    _as_prime_power(q)
-    return Fraction(2 * q - 1, q * q)
+# --- the component-list engine ----------------------------------------
 
+def _component_counts(r: int, L: int, m: int, side: str) -> list[int]:
+    """Census polynomial of M_m(F_r[y]/(y^L)) (L = 1 or m = 1) over F_r:
+    counts[k] elements whose annihilator on `side` has r^k elements.
 
-def product_rule(probs) -> Fraction:
-    """Probability for a direct sum: the product of component values."""
-    out = Fraction(1)
-    for p in probs:
-        out *= Fraction(p)
-    return out
-
-
-def _cyclic_probability(q: int, n: int) -> Fraction:
-    """P(F_q[C_n]) by the product rule over the chain-ring summands; by
-    ideal, F_r[y]/(y^L) gives (r + L(r-1)) / r^(L+1), and L = 1 is the
-    field value (2r-1)/r^2."""
-    return product_rule(Fraction(q**d + L * (q**d - 1), q**(d * (L + 1)))
-                        for d, L in cyclic_components(q, n))
-
-
-def _check_coprime(q: int, n: int) -> None:
-    if _p_part(q, n)[0] != 1:
-        raise ValueError(
-            f"semisimple decomposition needs gcd(q, n) = 1, got q={q}, n={n}")
-
-
-def p_cyclic_semisimple(q: int, n: int) -> FormulaResult:
-    """P(F_q[C_n]) for gcd(n, q) = 1 via the field decomposition."""
-    _check_coprime(q, n)
-    return FormulaResult(_cyclic_probability(q, n), PRINTED,
-                         f"cyclic coprime product, q={q}, n={n}")
-
-
-def p_cyclic_chain(q: int, n: int) -> FormulaResult:
-    """P(F_q[C_n]) when n is a power of the characteristic.
-
-    F_q[C_{p^k}] = F_q[y]/(y^n) is a chain ring; counting by ideal gives
-    (q + n(q-1)) / q^(n+1).
+    Chain ring: an element of valuation v < L has annihilator (y^(L-v)),
+    so counts[k] = r^(L-1-k) (r-1) for k < L and counts[L] = 1.  M_m(F_r):
+    a rank-k matrix has one-sided annihilators of dimension m(m-k) and a
+    twosided one of dimension (m-k)^2.
     """
-    if _p_part(q, n)[1] != 1:
-        raise ValueError(
-            f"chain-ring form needs n to be a power of char "
-            f"{_as_prime_power(q)[0]}, got n={n}")
-    return FormulaResult(_cyclic_probability(q, n), DERIVED,
-                         f"chain-ring count, q={q}, n={n}")
+    _check_side(side)
+    if m == 1:
+        return [*accumulate([r - 1] + [r] * (L - 1), mul)][::-1] + [1]
+    counts = [0] * (m * m + 1)
+    for k in range(m + 1):
+        rank_k = math.prod((r**m - r**i)**2 for i in range(k))
+        rank_k //= math.prod(r**k - r**i for i in range(k))
+        counts[(m - k)**2 if side == "twosided" else m * (m - k)] = rank_k
+    return counts
 
 
-def chain_histogram_counts(q: int, n: int) -> list[int]:
-    """Predicted census counts for the chain ring F_q[y]/(y^n):
-    counts[k] = q^(n-1-k) (q-1) for k < n, counts[n] = 1."""
-    return [q**(n - 1 - k) * (q - 1) for k in range(n)] + [1]
-
-
-def cyclic_histogram_counts(q: int, n: int) -> list[int]:
-    """Predicted census counts for F_q[C_n], any n.
-
-    An element annihilates summand by summand, so the counts are the
-    product of the chain-ring polynomials, the one for F_{q^d} with its
-    indices scaled by d.
-    """
+def _histogram_counts(q: int, comps, side: str) -> list[int]:
+    """Predicted census counts of the direct sum of (d, L, m) components
+    over F_q.  An element annihilates component by component, so the
+    counts are the product of the component polynomials, the one over
+    F_{q^d} with its indices scaled by d."""
     poly = [1]
-    for d, L in cyclic_components(q, n):
-        nxt = [0] * (len(poly) + d * L)
-        for j, c in enumerate(chain_histogram_counts(q**d, L)):
+    for d, L, m in comps:
+        nxt = [0] * (len(poly) + d * L * m * m)
+        for j, c in enumerate(_component_counts(q**d, L, m, side)):
             for k, a in enumerate(poly):
                 nxt[k + d * j] += a * c
         poly = nxt
     return poly
 
 
-def semisimple_histogram_counts(q: int, n: int) -> list[int]:
-    """Predicted census counts for F_q[C_n], gcd(n, q) = 1."""
-    _check_coprime(q, n)
-    return cyclic_histogram_counts(q, n)
+def _probability(q: int, comps, side: str) -> Fraction:
+    """P of the direct sum of (d, L, m) components over F_q: the product
+    of the components' sums over x of |Ann(x)| (by Horner), over |A|^2."""
+    weighted = 1
+    for d, L, m in comps:
+        r = q**d
+        weighted *= reduce(lambda w, c: w * r + c,
+                           reversed(_component_counts(r, L, m, side)), 0)
+    return Fraction(weighted, q**(2 * sum(d * L * m * m for d, L, m in comps)))
+
+
+def p_cyclic(q: int, n: int) -> FormulaResult:
+    """P(F_q[C_n]) for any n; only the coprime product is printed."""
+    L, m = _p_part(q, n)
+    variant, label = ((PRINTED, "cyclic coprime product") if L == 1 else
+                      (DERIVED, "chain-ring count") if m == 1 else
+                      (DERIVED, "cyclic decomposition"))
+    return FormulaResult(_probability(q, cyclic_components(q, n), "left"),
+                         variant, f"{label}, q={q}, n={n}")
+
+
+def cyclic_histogram_counts(q: int, n: int) -> list[int]:
+    """Predicted census counts for F_q[C_n], any n."""
+    return _histogram_counts(q, cyclic_components(q, n), "left")
 
 
 def unit_count_cyclic(q: int, n: int) -> int:
-    """|U(F_q[C_n])| in the coprime and char-power regimes."""
-    L, m = _p_part(q, n)
-    if L != 1 and m != 1:
-        raise ValueError(
-            f"unit count covers gcd(q, n) = 1 or n a power of char "
-            f"{_as_prime_power(q)[0]}; got q={q}, n={n}")
-    # the units of F_r[y]/(y^L) are the elements with a nonzero constant term
-    return math.prod(q**(d * (L - 1)) * (q**d - 1)
-                     for d, L in cyclic_components(q, n))
+    """|U(F_q[C_n])|: the elements with a trivial annihilator."""
+    return cyclic_histogram_counts(q, n)[0]
 
 
 # --- the five-element cyclic group, all four printed cases ------------
@@ -251,7 +233,7 @@ def p_c5(q: int, variant: str = DERIVED) -> FormulaResult:
                              label + ", as typeset", _C5_ERRATUM.get(case))
     if variant != DERIVED:
         raise ValueError(f"variant must be 'printed' or 'derived', got {variant!r}")
-    return FormulaResult(_cyclic_probability(q, 5), DERIVED,
+    return FormulaResult(p_cyclic(q, 5).value, DERIVED,
                          label + ", decomposition value")
 
 
@@ -287,7 +269,7 @@ def p_q8_odd(q: int, side: str = "left") -> FormulaResult:
     if sum_of_squares_witness(field(p, m)) is None:
         raise AssertionError(
             f"defect: -1 is not a sum of two squares in F_{q}")
-    value = p_field(q)**4 * p_matrix2(q, side).value
+    value = _probability(q, [(1, 1, 1)] * 4 + [(1, 1, 2)], side)
     return FormulaResult(value, PRINTED, f"quaternion decomposition, q={q}, {side}")
 
 
@@ -299,7 +281,7 @@ def p_s3_coprime6(q: int, side: str = "left") -> FormulaResult:
         raise ValueError(
             f"this decomposition needs gcd(q, 6) = 1, got q={q}; "
             "char 2 is covered by p_char2_family")
-    value = p_field(q)**2 * p_matrix2(q, side).value
+    value = _probability(q, [(1, 1, 1)] * 2 + [(1, 1, 2)], side)
     return FormulaResult(value, PRINTED,
                          f"symmetric-group decomposition, q={q}, {side}")
 
@@ -337,17 +319,9 @@ def closed_forms(K: CoeffRing, G: CayleyGroup, side: str = "left") -> list[Formu
         raise ValueError(f"no closed form for {K.spec} coefficients; run the census")
     q = K.size
     if G.structure == "cyclic":
-        n = G.order
-        if n == 5:
+        if G.order == 5:
             return [p_c5(q, PRINTED), p_c5(q, DERIVED)]
-        L, m = _p_part(q, n)
-        if L == 1:
-            return [p_cyclic_semisimple(q, n)]
-        if m == 1:
-            return [p_cyclic_chain(q, n)]
-        raise ValueError(
-            f"no closed form for F_{q}[C_{n}] with mixed characteristic; "
-            "run the census")
+        return [p_cyclic(q, G.order)]
     if G.structure == "s3":
         if math.gcd(q, 6) == 1:
             return [p_s3_coprime6(q, side)]

@@ -23,7 +23,7 @@ from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.errata import ERRATA_BY_KEY, TABLE1_ROWS
 from nullity.formulas import (DERIVED, PRINTED, classify_threshold,
                               default_sweep_instances, gap_check, p_c5,
-                              p_char2_family, p_cyclic_semisimple, p_matrix2,
+                              p_char2_family, p_cyclic, p_matrix2,
                               p_q8_odd, p_s3_coprime6, sweep_catalog,
                               unit_count_cyclic)
 from nullity.groupring import annihilator_size, ring_size
@@ -75,7 +75,7 @@ def test_c6_over_f7_census_record():
     hist = census("F:7", "C:6", "left")
     assert hist.counts == [46656, 46656, 19440, 4320, 540, 36, 1]
     assert hist.probability() == Fraction(4826809, 13841287201)
-    assert p_cyclic_semisimple(7, 6).value == hist.probability()
+    assert p_cyclic(7, 6).value == hist.probability()
     assert hist.unit_count() == unit_count_cyclic(7, 6)
 
 
@@ -106,7 +106,7 @@ def test_coprime_cyclic_formula_matches_census_everywhere():
     for q, n in pairs:
         K = ring_from_spec(f"F:{q}")
         hist = annihilator_histogram(K, cyclic(n), "left", workers=8)
-        assert p_cyclic_semisimple(q, n).value == hist.probability(), (q, n)
+        assert p_cyclic(q, n).value == hist.probability(), (q, n)
         assert hist.unit_count() == unit_count_cyclic(q, n)
 
 

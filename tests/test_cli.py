@@ -106,6 +106,19 @@ def test_compare_expected_mismatch_is_success(capsys):
     assert "MISMATCH" not in out
 
 
+def test_compare_mixed_characteristic_cyclic(capsys):
+    # F_2[C_6]: neither coprime nor a power of the characteristic
+    code, out, err = run(capsys, "compare", "--coeff", "F:2", "--group", "C:6")
+    assert (code, err) == (0, "")
+    assert out == ("F:2 C:6 side=left   oracle = 5/64 (~0.078125)\n"
+                   "  derived  5/64 (~0.078125)" + " " * 25 + "match\n")
+
+    code, out, _ = run(capsys, "formula", "--coeff", "F:2", "--group", "C:6")
+    assert code == 0
+    assert out == ("P_left = 5/64 (~0.078125)  "
+                   "[derived: cyclic decomposition, q=2, n=6]\n")
+
+
 def test_compare_json_fields(capsys):
     code, out, _ = run(capsys, "compare", "--coeff", "F:4", "--group", "C:5",
                        "--format", "json")
@@ -121,13 +134,13 @@ def test_compare_json_fields(capsys):
 def test_compare_unattributed_cyclic_mismatch_fails(capsys, monkeypatch):
     # only the closed form that printed a value may name its erratum: a
     # wrong C_3 value must not borrow the C_5 erratum of q's residue class
-    real = formulas.p_cyclic_semisimple
+    real = formulas.p_cyclic
 
     def off_by_a_hair(q, n):
         r = real(q, n)
         return replace(r, value=r.value + Fraction(1, 10**9))
 
-    monkeypatch.setattr(formulas, "p_cyclic_semisimple", off_by_a_hair)
+    monkeypatch.setattr(formulas, "p_cyclic", off_by_a_hair)
     code, out, _ = run(capsys, "compare", "--coeff", "F:4", "--group", "C:3")
     assert code == 1
     assert "MISMATCH  [UNEXPECTED]" in out

@@ -9,20 +9,19 @@ import nullity.oracle
 from nullity import formulas
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
-                              chain_histogram_counts, classify_threshold,
-                              closed_forms, cyclic_components,
-                              cyclic_histogram_counts,
+                              _histogram_counts, _probability,
+                              classify_threshold, closed_forms,
+                              cyclic_components, cyclic_histogram_counts,
                               default_sweep_instances, divisors, euler_phi,
                               gap_check, multiplicative_order, p_c5,
-                              p_char2_family, p_cyclic_chain,
-                              p_cyclic_semisimple, p_field, p_matrix2,
-                              p_q8_odd, p_s3_coprime6, product_rule,
-                              semisimple_histogram_counts, sweep_catalog,
+                              p_char2_family, p_cyclic, p_matrix2,
+                              p_q8_odd, p_s3_coprime6, sweep_catalog,
                               unit_count_cyclic)
 from nullity.errata import ERRATA_BY_KEY, TABLE1_ROWS
 from nullity.groupring import SIDES
 from nullity.groups import cyclic, group_from_spec, q8, s3
-from nullity.oracle import annihilator_histogram
+from nullity.oracle import (_census, _matrix_unit_table,
+                            annihilator_histogram, m2_annihilator_histogram)
 
 
 def test_number_theory_helpers():
@@ -38,65 +37,69 @@ def test_number_theory_helpers():
 
 
 def test_cyclic_decomposition_structure():
-    assert cyclic_components(2, 3) == [(1, 1), (2, 1)]
-    assert cyclic_components(7, 6) == [(1, 1)] * 6
-    assert cyclic_components(2, 5) == [(1, 1), (4, 1)]
-    assert cyclic_components(2, 4) == [(1, 4)]
+    assert cyclic_components(2, 3) == [(1, 1, 1), (2, 1, 1)]
+    assert cyclic_components(7, 6) == [(1, 1, 1)] * 6
+    assert cyclic_components(2, 5) == [(1, 1, 1), (4, 1, 1)]
+    assert cyclic_components(2, 4) == [(1, 4, 1)]
+    assert cyclic_components(2, 6) == [(1, 2, 1), (2, 2, 1)]
 
 
 def test_decomposition_dimensions_sum_to_group_order():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
         for n in range(1, 201):
             comps = cyclic_components(q, n)
-            assert sum(d * L for d, L in comps) == n
-            assert all(d >= 1 and L >= 1 for d, L in comps)
+            assert sum(d * L for d, L, _ in comps) == n
+            assert all(d >= 1 and L >= 1 and m == 1 for d, L, m in comps)
 
 
 def test_single_field_probability():
-    assert p_field(2) == Fraction(3, 4)
-    assert p_field(7) == Fraction(13, 49)
-    assert p_field(16) == Fraction(31, 256)
-    assert product_rule([p_field(2), p_field(4)]) == Fraction(21, 64)
+    # a field is the component (1, 1, 1): (2q-1)/q^2 on every side
+    for side in SIDES:
+        assert _probability(2, [(1, 1, 1)], side) == Fraction(3, 4)
+        assert _probability(7, [(1, 1, 1)], side) == Fraction(13, 49)
+        assert _probability(16, [(1, 1, 1)], side) == Fraction(31, 256)
+        # F_2 + F_4 multiplies: 3/4 * 7/16
+        assert _probability(2, [(1, 1, 1), (2, 1, 1)], side) == Fraction(21, 64)
 
 
 def test_cyclic_semisimple_values():
-    assert p_cyclic_semisimple(2, 3).value == Fraction(21, 64)
-    assert p_cyclic_semisimple(7, 6).value == Fraction(4826809, 13841287201)
-    assert p_cyclic_semisimple(3, 2).value == Fraction(25, 81)
-    assert p_cyclic_semisimple(2, 3).variant == PRINTED
-    with pytest.raises(ValueError):
-        p_cyclic_semisimple(2, 4)
+    assert p_cyclic(2, 3).value == Fraction(21, 64)
+    assert p_cyclic(7, 6).value == Fraction(4826809, 13841287201)
+    assert p_cyclic(3, 2).value == Fraction(25, 81)
+    assert p_cyclic(2, 3).variant == PRINTED
+    assert p_cyclic(2, 3).provenance == "cyclic coprime product, q=2, n=3"
 
 
 def test_cyclic_chain_values():
-    assert p_cyclic_chain(2, 2).value == Fraction(1, 2)
-    assert p_cyclic_chain(2, 4).value == Fraction(3, 16)
-    assert p_cyclic_chain(3, 3).value == Fraction(1, 9)
-    assert p_cyclic_chain(5, 5).value == Fraction(1, 625)
-    assert p_cyclic_chain(4, 4).value == Fraction(4 + 4 * 3, 4**5)
-    with pytest.raises(ValueError):
-        p_cyclic_chain(2, 6)
-    with pytest.raises(ValueError):
-        p_cyclic_chain(2, 3)
+    assert p_cyclic(2, 2).value == Fraction(1, 2)
+    assert p_cyclic(2, 4).value == Fraction(3, 16)
+    assert p_cyclic(3, 3).value == Fraction(1, 9)
+    assert p_cyclic(5, 5).value == Fraction(1, 625)
+    assert p_cyclic(4, 4).value == Fraction(4 + 4 * 3, 4**5)
+    assert p_cyclic(2, 4).variant == DERIVED
+    assert p_cyclic(2, 4).provenance == "chain-ring count, q=2, n=4"
+    # (q + n(q-1)) / q^(n+1) far past the census cap
+    assert p_cyclic(2, 4096).value == Fraction(2 + 4096, 2**4097)
+    assert p_cyclic(5, 3125).value == Fraction(5 + 3125 * 4, 5**3126)
 
 
 def test_chain_histogram_prediction():
-    assert chain_histogram_counts(2, 4) == [8, 4, 2, 1, 1]
-    assert chain_histogram_counts(3, 3) == [18, 6, 2, 1]
+    assert cyclic_histogram_counts(2, 4) == [8, 4, 2, 1, 1]
+    assert cyclic_histogram_counts(3, 3) == [18, 6, 2, 1]
     census = annihilator_histogram(field(3), cyclic(3))
-    assert census.counts == chain_histogram_counts(3, 3)
+    assert census.counts == cyclic_histogram_counts(3, 3)
     census = annihilator_histogram(field(2), cyclic(8))
-    assert census.counts == chain_histogram_counts(2, 8)
+    assert census.counts == cyclic_histogram_counts(2, 8)
 
 
 def test_semisimple_histogram_prediction():
-    assert semisimple_histogram_counts(2, 3) == [3, 3, 1, 1]
-    assert semisimple_histogram_counts(2, 5) == [15, 15, 0, 0, 1, 1]
+    assert cyclic_histogram_counts(2, 3) == [3, 3, 1, 1]
+    assert cyclic_histogram_counts(2, 5) == [15, 15, 0, 0, 1, 1]
     binom = [math.comb(6, k) * 6 ** (6 - k) for k in range(7)]
-    assert semisimple_histogram_counts(7, 6) == binom
+    assert cyclic_histogram_counts(7, 6) == binom
     for q, n in ((2, 3), (2, 5), (3, 2), (5, 2), (2, 7)):
         census = annihilator_histogram(field(q), cyclic(n))
-        assert census.counts == semisimple_histogram_counts(q, n)
+        assert census.counts == cyclic_histogram_counts(q, n)
 
 
 def test_cyclic_histogram_mixed_characteristic():
@@ -111,13 +114,42 @@ def test_unit_counts():
     assert unit_count_cyclic(5, 5) == 2500
     assert unit_count_cyclic(2, 3) == 3
     assert unit_count_cyclic(2, 4) == 8
-    with pytest.raises(ValueError):
-        unit_count_cyclic(2, 6)
+    # mixed characteristic: neither coprime nor a power of the characteristic
+    for q, n in ((2, 6), (2, 10), (2, 12), (3, 12), (4, 6), (9, 6)):
+        census = annihilator_histogram(ring_from_spec(f"F:{q}"), cyclic(n))
+        assert unit_count_cyclic(q, n) == census.counts[0], (q, n)
     with pytest.raises(ValueError):
         unit_count_cyclic(2, 0)
     # census agreement: units are exactly the trivial-annihilator class
     assert annihilator_histogram(field(2), cyclic(3)).unit_count() == 3
     assert annihilator_histogram(field(5), cyclic(5)).unit_count() == 2500
+
+
+M2 = [(1, 1, 2)]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_engine_matrix_counts_match_m2_census(q):
+    for side in SIDES:
+        census = m2_annihilator_histogram(ring_from_spec(f"F:{q}"), side)
+        assert _histogram_counts(q, M2, side) == census.counts, side
+
+
+def test_engine_matrix_counts_match_m3_census():
+    m3 = [(1, 1, 3)]
+    # 168 = |GL_3(F_2)|
+    assert _histogram_counts(2, m3, "left") == [168, 0, 0, 294, 0, 0, 49, 0, 0, 1]
+    for q in (2, 3):
+        for side in SIDES:
+            census = _census(field(q), "M3", _matrix_unit_table(3), side,
+                             max_elements=q**9, workers=1, sliced=True)
+            assert _histogram_counts(q, m3, side) == census.counts, (q, side)
+
+
+def test_engine_matrix_probability_is_the_printed_polynomial():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25):
+        for side in SIDES:
+            assert _probability(q, M2, side) == p_matrix2(q, side).value, (q, side)
 
 
 def test_five_cycle_case_values():
@@ -207,8 +239,9 @@ def test_closed_form_dispatch():
     assert vals[0].value == Fraction(86875, 14348907)
     with pytest.raises(ValueError, match="census"):
         closed_forms(integers_mod(4), cyclic(2))
-    with pytest.raises(ValueError, match="census"):
-        closed_forms(ring_from_spec("F:2"), cyclic(6))
+    (mixed,) = closed_forms(ring_from_spec("F:2"), cyclic(6))
+    assert (mixed.value, mixed.variant) == (Fraction(5, 64), DERIVED)
+    assert mixed.provenance == "cyclic decomposition, q=2, n=6"
     with pytest.raises(ValueError, match="census"):
         closed_forms(ring_from_spec("F:2"), q8(), "left")
     with pytest.raises(ValueError, match="census"):
