@@ -10,7 +10,7 @@ comparison.
 from nullity import annihilator_histogram, closed_forms, ring_from_spec
 from nullity.formulas import p_c5, p_cyclic, p_matrix2, p_q8_odd
 from nullity.groups import cyclic, group_from_spec
-from nullity.oracle import m2_nullity_probability
+from nullity.oracle import m2_annihilator_histogram
 
 # cyclic groups of any order: F_q[C_n] splits into chain rings
 # F_{q^d}[y]/(y^L), fields when gcd(q, n) = 1, and P multiplies over them;
@@ -26,7 +26,7 @@ for q, n in ((2, 3), (3, 2), (7, 6), (2, 4), (3, 3), (5, 5), (2, 6)):
 for q in (2, 3):
     for side in ("left", "twosided"):
         formula = p_matrix2(q, side).value
-        census = m2_nullity_probability(ring_from_spec(f"F:{q}"), side)
+        census = m2_annihilator_histogram(ring_from_spec(f"F:{q}"), side).probability()
         print(f"M2(F_{q}) {side:9s} formula {formula}  census {census}")
         assert formula == census
 

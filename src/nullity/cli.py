@@ -89,7 +89,7 @@ def cmd_oracle(args) -> int:
     ms = None if args.no_timing else int((time.perf_counter() - t0) * 1000)
     record = oracle._record(G.spec, K.spec, args.side, prob, hist, ms)
     if args.format == "json":
-        print(oracle.record_json(record))
+        print(json.dumps(record))
     elif hist is not None:
         print(oracle.record_text(record))
     else:

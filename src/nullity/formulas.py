@@ -40,51 +40,6 @@ class FormulaResult:
     erratum: str | None = None  # errata key when the printed value is wrong
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError(f"divisors needs n >= 1, got {n}")
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def multiplicative_order(q: int, l: int) -> int:
-    """Order of q in (Z/l)*; q and l must be coprime."""
-    if l < 1:
-        raise ValueError(f"modulus must be >= 1, got {l}")
-    if math.gcd(q, l) != 1:
-        raise ValueError(f"multiplicative order needs gcd({q}, {l}) = 1")
-    if l == 1:
-        return 1
-    r = q % l
-    k = 1
-    while r != 1:
-        r = (r * q) % l
-        k += 1
-    return k
-
-
 def _as_prime_power(q: int) -> tuple[int, int]:
     pm = prime_power_decomposition(q)
     if pm is None:
@@ -105,18 +60,25 @@ def _p_part(q: int, n: int) -> tuple[int, int]:
 
 def cyclic_components(q: int, n: int) -> list[tuple[int, int, int]]:
     """F_q[C_n] as a sum of chain rings F_{q^d}[y]/(y^L), one (d, L, 1)
-    component per summand, divisors ascending.
+    component per summand, sorted.
 
-    With n = L*m and L the p-part of n, each divisor l of m gives
-    phi(l)/d copies, d the multiplicative order of q mod l.  L = 1 is the
-    semisimple case (every summand a field), m = 1 the single chain ring.
+    With n = L*m and L the p-part of n, the summands are the orbits of
+    x -> q*x on Z/m (the q-cyclotomic cosets), d the size of the orbit.
+    L = 1 is the semisimple case (every summand a field), m = 1 the single
+    chain ring.
     """
     L, m = _p_part(q, n)
+    seen = bytearray(m)
     out = []
-    for l in divisors(m):
-        d = multiplicative_order(q, l)
-        out += [(d, L, 1)] * (euler_phi(l) // d)
-    return out
+    for x in range(m):
+        d = 0
+        while not seen[x]:
+            seen[x] = 1
+            x = x * q % m
+            d += 1
+        if d:
+            out.append((d, L, 1))
+    return sorted(out)
 
 
 # --- the component-list engine ----------------------------------------

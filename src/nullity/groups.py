@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-# largest group order built: an int64 Cayley table of 4096^2 entries is 128 MiB
+# largest group order built: a dense int64 Cayley table of 4096^2 entries is 128 MiB
 MAX_GROUP_ORDER = 4096
 
 
@@ -32,21 +32,16 @@ class CayleyGroup:
     "table") so closed-form dispatch can recognize the shapes it covers.
     """
 
-    def __init__(self, table: np.ndarray, names: tuple[str, ...], spec: str,
-                 structure: str):
-        self.table = np.ascontiguousarray(table, dtype=np.int64)
+    def __init__(self, table: np.ndarray, spec: str, structure: str):
+        self.table = np.asarray(table, dtype=np.int64)
         self.table.flags.writeable = False
-        self.order = len(names)
-        self.names = names
+        self.order = self.table.shape[0]
         self.spec = spec
         self.structure = structure
         self._inverses: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"CayleyGroup({self.spec!r}, order={self.order})"
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
 
     @property
     def inverses(self) -> np.ndarray:
@@ -57,9 +52,6 @@ class CayleyGroup:
             inv.flags.writeable = False
             self._inverses = inv
         return self._inverses
-
-    def inverse(self, i: int) -> int:
-        return int(self.inverses[i])
 
     @property
     def is_abelian(self) -> bool:
@@ -111,11 +103,9 @@ def cyclic(n: int) -> CayleyGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     _check_order(n)
-    idx = np.arange(n, dtype=np.int64)
-    table = np.add.outer(idx, idx)
-    table %= n  # in place: the table is the only n x n array built
-    names = tuple("e" if k == 0 else "a" if k == 1 else f"a^{k}" for k in range(n))
-    return CayleyGroup(table, names, f"C:{n}", "cyclic")
+    # a circulant: a read-only n x n view of 2n - 1 integers, [i, j] = (i + j) % n
+    table = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n - 1) % n, n)
+    return CayleyGroup(table, f"C:{n}", "cyclic")
 
 
 def product(g1: CayleyGroup, g2: CayleyGroup) -> CayleyGroup:
@@ -123,8 +113,7 @@ def product(g1: CayleyGroup, g2: CayleyGroup) -> CayleyGroup:
     _check_order(g1.order * n2)
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :])
     table = table.reshape(g1.order * n2, g1.order * n2)
-    names = tuple(f"({x},{y})" for x in g1.names for y in g2.names)
-    return CayleyGroup(table, names, f"{g1.spec}x{g2.spec}", "product")
+    return CayleyGroup(table, f"{g1.spec}x{g2.spec}", "product")
 
 
 _S3_PERMS = (
@@ -135,7 +124,6 @@ _S3_PERMS = (
     (1, 2, 0),  # (123)
     (2, 0, 1),  # (132)
 )
-_S3_NAMES = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
 
 
 def s3() -> CayleyGroup:
@@ -145,7 +133,7 @@ def s3() -> CayleyGroup:
     for i, s in enumerate(perms):
         for j, t in enumerate(perms):
             table[i, j] = lookup[tuple(s[t[k]] for k in range(3))]
-    return CayleyGroup(table, _S3_NAMES, "S3", "s3")
+    return CayleyGroup(table, "S3", "s3")
 
 
 def q8() -> CayleyGroup:
@@ -162,12 +150,10 @@ def q8() -> CayleyGroup:
         return 4 * j + i
 
     table = np.array([[mul(x, y) for y in range(8)] for x in range(8)], dtype=np.int64)
-    names = ("1", "a", "a^2", "a^3", "b", "ab", "a^2b", "a^3b")
-    return CayleyGroup(table, names, "Q8", "q8")
+    return CayleyGroup(table, "Q8", "q8")
 
 
-def from_table(rows, *, names: tuple[str, ...] | None = None,
-               spec: str = "table") -> CayleyGroup:
+def from_table(rows, *, spec: str = "table") -> CayleyGroup:
     """Build a group from a raw table, validating every axiom.
 
     Entries must be integers; floats and bools are rejected, not truncated.
@@ -191,9 +177,7 @@ def from_table(rows, *, names: tuple[str, ...] | None = None,
     problem = validate_group(table)
     if problem is not None:
         raise ValueError(f"bad group table: {problem}")
-    if names is None:
-        names = tuple(f"g{k}" for k in range(table.shape[0]))
-    return CayleyGroup(table, names, spec, "table")
+    return CayleyGroup(table, spec, "table")
 
 
 def group_from_table_file(path: str | Path) -> CayleyGroup:

@@ -29,7 +29,6 @@ addition.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -285,12 +284,6 @@ def pair_count_naive(K: CoeffRing, G: CayleyGroup, relation: str = "ab=0", *,
     return _pair_count(K, G.table, relation, max_pairs)
 
 
-def zero_product_matrix(K: CoeffRing, G: CayleyGroup, *,
-                        max_pairs: int = DEFAULT_MAX_PAIRS) -> np.ndarray:
-    """Boolean matrix Z[a, b] = (a*b == 0) over all ring-element indices."""
-    return _zero_products(K, G.table, max_pairs)
-
-
 def pair_count_direct_sum(components, relation: str = "ab=0", *,
                           max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Literal zero-pair count over a direct sum of group rings.
@@ -311,7 +304,7 @@ def pair_count_direct_sum(components, relation: str = "ab=0", *,
             f"direct-sum count over {total * total} pairs exceeds max_pairs={max_pairs}")
     Z = np.ones((1, 1), dtype=bool)
     for K, G in components:
-        Zc = zero_product_matrix(K, G, max_pairs=max_pairs)
+        Zc = _zero_products(K, G.table, max_pairs)
         if relation == "ab=0&ba=0":
             Zc = Zc & Zc.T
         Z = np.kron(Z, Zc)
@@ -341,11 +334,6 @@ def m2_annihilator_histogram(K: CoeffRing, side: str = "left", *,
         raise ValueError(f"matrix-ring census needs a field, got {K.spec}")
     return _census(K, "M2", _matrix_unit_table(2), side,
                    max_elements=max_elements, workers=1, sliced=True)
-
-
-def m2_nullity_probability(K: CoeffRing, side: str = "left", *,
-                           max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
-    return m2_annihilator_histogram(K, side, max_elements=max_elements).probability()
 
 
 def m2_pair_count_naive(K: CoeffRing, relation: str = "ab=0", *,
@@ -384,10 +372,6 @@ def histogram_record(hist: AnnihilatorHistogram,
     """The census as a plain dict ready for JSON emission."""
     return _record(hist.group, hist.coeff, hist.side, hist.probability(), hist,
                    elapsed_ms)
-
-
-def record_json(record: dict) -> str:
-    return json.dumps(record)
 
 
 def record_text(record: dict) -> str:

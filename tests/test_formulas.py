@@ -1,6 +1,7 @@
 """Closed-form probabilities, histogram predictions, catalogs."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,10 @@ import nullity.oracle
 from nullity import formulas
 from nullity.coeffring import field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
-                              _histogram_counts, _probability,
+                              _histogram_counts, _p_part, _probability,
                               classify_threshold, closed_forms,
                               cyclic_components, cyclic_histogram_counts,
-                              default_sweep_instances, divisors, euler_phi,
-                              gap_check, multiplicative_order, p_c5,
+                              default_sweep_instances, gap_check, p_c5,
                               p_char2_family, p_cyclic, p_matrix2,
                               p_q8_odd, p_s3_coprime6, sweep_catalog,
                               unit_count_cyclic)
@@ -24,24 +24,27 @@ from nullity.oracle import (_census, _matrix_unit_table,
                             annihilator_histogram, m2_annihilator_histogram)
 
 
-def test_number_theory_helpers():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(97) == 96
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert multiplicative_order(2, 5) == 4
-    assert multiplicative_order(4, 5) == 2
-    assert multiplicative_order(7, 3) == 1
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 4)
-
-
 def test_cyclic_decomposition_structure():
     assert cyclic_components(2, 3) == [(1, 1, 1), (2, 1, 1)]
     assert cyclic_components(7, 6) == [(1, 1, 1)] * 6
     assert cyclic_components(2, 5) == [(1, 1, 1), (4, 1, 1)]
     assert cyclic_components(2, 4) == [(1, 4, 1)]
     assert cyclic_components(2, 6) == [(1, 2, 1), (2, 2, 1)]
+    # 187 = 11 * 17: divisor order (1, 11, 17, 187) gives d = 1, 10, 8, 40
+    assert cyclic_components(2, 187) == (
+        [(1, 1, 1), (8, 1, 1), (8, 1, 1), (10, 1, 1)] + [(40, 1, 1)] * 4)
+
+
+def test_orbit_sizes_count_fixed_points():
+    # x -> q^k x fixes gcd(q^k - 1, m) residues of Z/m, and fixes an orbit
+    # of size d pointwise exactly when d divides k
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
+        for n in range(1, 601):
+            L, m = _p_part(q, n)
+            sizes = Counter(d for d, _, _ in cyclic_components(q, n))
+            for k in range(1, max(sizes) + 1):
+                fixed = sum(d * c for d, c in sizes.items() if k % d == 0)
+                assert fixed == math.gcd(pow(q, k, m) - 1, m), (q, n, k)
 
 
 def test_decomposition_dimensions_sum_to_group_order():
