@@ -7,7 +7,7 @@ zero, computed two independent ways: closed-form decompositions
 """
 
 from .coeffring import (CoeffRing, NotInvertibleError, field, integers_mod,
-                        ring_from_spec, sum_of_squares_witness)
+                        ring_from_spec)
 from .formulas import (classify_threshold, closed_forms,
                        default_sweep_instances, gap_check, sweep_catalog)
 from .groupring import (CapExceeded, annihilator_size,
@@ -31,6 +31,5 @@ __all__ = [
     "group_from_table_file", "integers_mod", "m2_annihilator_histogram",
     "m2_pair_count_naive", "nullity_probability", "pair_count_direct_sum",
     "pair_count_naive", "product", "q8", "regular_matrix", "ring_from_spec",
-    "ring_size", "s3", "sum_of_squares_witness", "sweep_catalog",
-    "validate_group",
+    "ring_size", "s3", "sweep_catalog", "validate_group",
 ]

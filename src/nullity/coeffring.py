@@ -131,6 +131,22 @@ def lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"defect: no irreducible of degree {m} over F_{p} found")
 
 
+def _prime_inverses(p: int) -> np.ndarray:
+    """a**(p-2) mod p for every a in [0, p), the inverse table of F_p with
+    0 at 0, by square-and-multiply over the whole range at once; exact in
+    int64 while p*p is, as for :meth:`_ModArrayOps.mul`."""
+    base, inv, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
+    while e:
+        if e & 1:
+            inv *= base
+            inv %= p
+        base *= base
+        base %= p
+        e >>= 1
+    inv[0] = 0
+    return inv
+
+
 class _ModArrayOps:
     """Vectorized ring ops on arrays of indices, residue arithmetic."""
 
@@ -371,10 +387,7 @@ class CoeffRing:
             elif self.kind == EXTENSION_FIELD:
                 self._array_ops = _TableArrayOps(*self.tables())
             elif self.kind == PRIME_FIELD:
-                p = self.p
-                inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)],
-                               dtype=np.int64)
-                self._array_ops = _ModArrayOps(p, inv)
+                self._array_ops = _ModArrayOps(self.p, _prime_inverses(self.p))
             else:
                 self._array_ops = _ModArrayOps(self.n, None)
         return self._array_ops
@@ -446,22 +459,3 @@ def ring_from_spec(text: str, *, max_size: int = DEFAULT_MAX_RING_SIZE) -> Coeff
         raise ValueError(f"bad ring spec {text!r}: {q} is not a prime power")
     return field(*pm, max_size=max_size)
 
-
-def sum_of_squares_witness(K: CoeffRing) -> tuple[int, int] | None:
-    """First (x, y) in index order with x**2 + y**2 = -1, or None.
-
-    Equivalent to the exhaustive scan over x then y; a minimal-square-root
-    table collapses the inner loop.
-    """
-    if not K.is_field:
-        raise ValueError(f"witness search needs field coefficients, got {K.spec}")
-    minus_one = K.neg(1)
-    min_sqrt = {}
-    for y in range(K.size - 1, -1, -1):
-        min_sqrt[K.mul(y, y)] = y
-    for x in range(K.size):
-        target = K.sub(minus_one, K.mul(x, x))
-        y = min_sqrt.get(target)
-        if y is not None:
-            return (x, y)
-    return None

@@ -219,18 +219,14 @@ def p_matrix2(q: int, side: str = "left") -> FormulaResult:
 def p_q8_odd(q: int, side: str = "left") -> FormulaResult:
     """P(F_q[Q8]) for odd q: four field factors and one 2x2 matrix factor.
 
-    Requires -1 to be a sum of two squares in F_q, which holds in every
-    finite field of odd characteristic; the witness is asserted.
+    The split needs -1 = x^2 + y^2 in F_q, which always holds for odd q:
+    {x^2} and {-1 - y^2} each have (q + 1)/2 elements, so they meet.
     """
-    p, m = _as_prime_power(q)
+    p, _ = _as_prime_power(q)
     if p == 2:
         raise ValueError(
             "quaternion decomposition needs odd characteristic; "
             "see p_char2_family for q = 2^m")
-    from .coeffring import field, sum_of_squares_witness
-    if sum_of_squares_witness(field(p, m)) is None:
-        raise AssertionError(
-            f"defect: -1 is not a sum of two squares in F_{q}")
     value = _probability(q, [(1, 1, 1)] * 4 + [(1, 1, 2)], side)
     return FormulaResult(value, PRINTED, f"quaternion decomposition, q={q}, {side}")
 

@@ -213,18 +213,12 @@ def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray,
 
     Literal products: output coordinate w of a*b is a @ T[:, :, w] @ b
     mod N, taken as L = (A @ T[:, :, w]) % N in int64 and S = L @ B.T as
-    a float matmul, exact in :func:`_exact_float`'s dtype; when B has
-    fewer rows than A, T[:, :, w] @ B.T is reduced first instead.  No
-    ranks, no kernels.
+    a float matmul, exact in :func:`_exact_float`'s dtype.  No ranks, no
+    kernels.
     """
     D = T.shape[0]
-    dtype = _exact_float(D, N)
-    if A.shape[0] <= B.shape[0]:
-        Bt = B.T.astype(dtype)
-        blocks = (((A @ T[:, :, w]) % N).astype(dtype) @ Bt for w in range(D))
-    else:
-        Af = A.astype(dtype)
-        blocks = (Af @ ((T[:, :, w] @ B.T) % N).astype(dtype) for w in range(D))
+    Bt = B.T.astype(_exact_float(D, N))
+    blocks = (((A @ T[:, :, w]) % N).astype(Bt.dtype) @ Bt for w in range(D))
     zero = np.ones((A.shape[0], B.shape[0]), dtype=bool)
     with _one_blas_thread():
         for S in blocks:
@@ -416,8 +410,9 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
 
     Works over any coefficient ring; used as the rank-free cross-check.
     Each candidate a is one literal product from the structure constants
-    (:func:`_zero_product_mask`), with x as a one-row block: a*x for the
-    left side, x*a for the right.
+    (:func:`_zero_product_mask`), with x as the one-row block on the left:
+    x*a for the right side, and for the left a*x, which is x*a in the
+    opposite algebra, whose structure constants are T.transpose(1, 0, 2).
     """
     _check_side(side)
     _check_vector(K, G, x)
@@ -431,7 +426,7 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     xr = X[e:e + 1]
     zero = np.ones(total, dtype=bool)
     if side in ("left", "twosided"):
-        zero &= _zero_product_mask(T, N, X, xr)[:, 0]
+        zero &= _zero_product_mask(T.transpose(1, 0, 2), N, xr, X)[0]
     if side in ("right", "twosided"):
         zero &= _zero_product_mask(T, N, xr, X)[0]
     return int(np.count_nonzero(zero))

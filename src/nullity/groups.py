@@ -173,7 +173,7 @@ def from_table(rows, *, spec: str = "table") -> CayleyGroup:
             if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
                 raise ValueError(
                     f"bad group table: entry [{i}][{j}] = {v!r} is not an integer")
-    table = np.asarray(rows, dtype=np.int64)
+    table = np.array(rows, dtype=np.int64)  # a copy: the caller's stays writeable
     problem = validate_group(table)
     if problem is not None:
         raise ValueError(f"bad group table: {problem}")

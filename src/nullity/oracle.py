@@ -288,11 +288,10 @@ def pair_count_direct_sum(components, relation: str = "ab=0", *,
                           max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Literal zero-pair count over a direct sum of group rings.
 
-    `components` is a list of (K, G) pairs.  A sum element is a tuple of
-    component elements, indexed mixed-radix with the first component major;
-    a product is zero exactly when every component product is zero, so the
-    sum's zero-product matrix is the Kronecker product of the components'
-    (an AND of component entries for every pair of sum elements).
+    `components` is a list of (K, G) pairs.  A product in the sum is zero
+    exactly when every component product is zero, so the count is the
+    product of the components' literal counts.  The cap applies to the
+    pairs of the whole sum.
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
@@ -302,13 +301,8 @@ def pair_count_direct_sum(components, relation: str = "ab=0", *,
     if total * total > max_pairs:
         raise CapExceeded(
             f"direct-sum count over {total * total} pairs exceeds max_pairs={max_pairs}")
-    Z = np.ones((1, 1), dtype=bool)
-    for K, G in components:
-        Zc = _zero_products(K, G.table, max_pairs)
-        if relation == "ab=0&ba=0":
-            Zc = Zc & Zc.T
-        Z = np.kron(Z, Zc)
-    return int(np.count_nonzero(Z))
+    return math.prod(_pair_count(K, G.table, relation, max_pairs)
+                     for K, G in components)
 
 
 # --- 2x2 matrix rings -------------------------------------------------

@@ -9,8 +9,7 @@ import nullity.coeffring
 from nullity.coeffring import (MAX_EXTENSION_DEGREE, NotInvertibleError,
                                field, integers_mod, is_prime,
                                lex_smallest_irreducible,
-                               prime_power_decomposition, ring_from_spec,
-                               sum_of_squares_witness)
+                               prime_power_decomposition, ring_from_spec)
 
 
 def _poly_mul(a, b, p):
@@ -253,6 +252,16 @@ def test_array_ops_agree_with_scalar_route():
             assert all(int(v) == K.inv(int(a)) for v, a in zip(ops.inv(nz), nz))
 
 
+def test_prime_field_inverse_table():
+    # the array inverse of F_p is a table over all of [0, p), 0 at 0
+    for p in (2, 3, 5, 7, 11, 13):
+        inv = field(p).array_ops().inv(np.arange(p))
+        assert inv.tolist() == [0] + [pow(a, -1, p) for a in range(1, p)]
+    p = 65521
+    a = np.random.default_rng(p).integers(1, p, size=2000)
+    assert field(p).array_ops().inv(a).tolist() == [pow(int(v), -1, p) for v in a]
+
+
 def test_decode_encode_roundtrip():
     K = field(3, 3)
     for a in range(K.size):
@@ -261,19 +270,3 @@ def test_decode_encode_roundtrip():
         assert K.encode(digits) == a
     assert field(7).decode(5) == (5,)
 
-
-def test_sum_of_squares_witnesses():
-    assert sum_of_squares_witness(field(3)) == (1, 1)
-    assert sum_of_squares_witness(field(5)) == (0, 2)
-    assert sum_of_squares_witness(field(7)) == (2, 3)
-    for q_spec in ("F:2", "F:4", "F:3", "F:9", "F:11", "F:13", "F:25", "F:27"):
-        K = ring_from_spec(q_spec)
-        w = sum_of_squares_witness(K)
-        assert w is not None
-        x, y = w
-        assert K.add(K.mul(x, x), K.mul(y, y)) == K.neg(1)
-        # nothing earlier in x-then-y scan order works
-        for xx in range(x + 1):
-            top = y if xx == x else K.size
-            for yy in range(top):
-                assert K.add(K.mul(xx, xx), K.mul(yy, yy)) != K.neg(1)

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import nullity.coeffring
 import nullity.oracle
 from nullity import formulas
-from nullity.coeffring import field, integers_mod, ring_from_spec
+from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.formulas import (DERIVED, PRINTED, CHAR2_TARGETS,
                               _histogram_counts, _p_part, _probability,
                               classify_threshold, closed_forms,
@@ -255,6 +256,32 @@ def test_closed_form_dispatch():
         closed_forms(field(2), s3(), "up")
     with pytest.raises(ValueError, match="side"):
         closed_forms(field(2), cyclic(3), "bogus")
+
+
+CLOSED_FORM_CASES = ([("Q8", f) for f in ("F:3", "F:5", "F:9", "F:25", "F:27", "F:4")]
+                     + [("S3", f) for f in ("F:2", "F:4", "F:5", "F:7", "F:25")]
+                     + [(f"C:{n}", f) for n in (4, 5, 6, 12) for f in ("F:2", "F:3", "F:4")])
+
+
+def test_closed_forms_run_no_ring_arithmetic(monkeypatch):
+    # closed forms read only q and the group's structure: no ring is built
+    # and no ring element is touched
+    rings = {f: ring_from_spec(f) for _, f in CLOSED_FORM_CASES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form ran ring arithmetic")
+
+    monkeypatch.setattr(nullity.coeffring, "field", refuse)
+    for name in ("add", "sub", "mul", "neg", "inv", "pow", "array_ops", "tables"):
+        monkeypatch.setattr(CoeffRing, name, refuse)
+    covered = 0
+    for group, coeff in CLOSED_FORM_CASES:
+        for side in SIDES:
+            try:
+                covered += bool(closed_forms(rings[coeff], group_from_spec(group), side))
+            except ValueError:
+                pass  # no published form; the census covers it
+    assert covered == 3 * len(CLOSED_FORM_CASES) - 2  # F:4 Q8 one-sided
 
 
 def test_printed_results_name_their_errata():

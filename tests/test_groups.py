@@ -181,6 +181,15 @@ def test_table_is_frozen():
         G.table[0, 0] = 3
 
 
+def test_from_table_copies_the_callers_array():
+    t = np.array([[0, 1], [1, 0]])
+    G = from_table(t)
+    assert t.flags.writeable
+    t[0, 0] = 1  # the group keeps its own table
+    assert G.table.tolist() == [[0, 1], [1, 0]]
+    assert not G.table.flags.writeable
+
+
 def test_from_table_rejects_ragged_rows():
     with pytest.raises(ValueError,
                        match="bad group table: row 1 has 1 entries, expected 2"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,21 @@ def test_direct_sum_cap_and_validation():
         pair_count_direct_sum([(field(2), cyclic(2))], "ab=ba")
     with pytest.raises(ValueError, match="component"):
         pair_count_direct_sum([])
+
+
+def test_direct_sum_count_holds_no_sum_sized_matrix():
+    # F:2 S3 (+) F:3 C:2 (+) F:2 C:3 has 4608 elements: one boolean per
+    # pair of sum elements would take 20 MiB
+    comps = [(field(2), s3()), (field(3), cyclic(2)), (field(2), cyclic(3))]
+    tracemalloc.start()
+    try:
+        counts = [pair_count_direct_sum(comps, rel, max_pairs=1 << 25)
+                  for rel in ("ab=0", "ab=0&ba=0")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [243600, 168000]
+    assert peak < 1 << 20
 
 
 def test_relation_validation():

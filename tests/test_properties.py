@@ -1,4 +1,5 @@
-"""Property tests: the closed-form engine against the census on drawn
+"""Property tests: the closed-form engine against the census, and the
+census and per-element ranks against literal products, on drawn
 instances.  Derandomized, so every run draws the same examples."""
 
 import math
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from nullity.coeffring import ring_from_spec
 from nullity.formulas import _histogram_counts, cyclic_components
-from nullity.groupring import SIDES
-from nullity.groups import cyclic, q8, s3
-from nullity.oracle import annihilator_histogram
+from nullity.groupring import (SIDES, annihilator_size,
+                               annihilator_size_by_enumeration, element_vector,
+                               ring_size)
+from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
+from nullity.oracle import annihilator_histogram, pair_count_naive
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32)
 # the census ranks the |K|^(n-1) elements of the slice x_e = 1
@@ -45,3 +48,54 @@ def test_engine_histogram_equals_census(instance, side):
     q, G, comps = instance
     census = annihilator_histogram(ring_from_spec(f"F:{q}"), G, side)
     assert _histogram_counts(q, comps, side) == census.counts
+
+
+# --- the rank route against the literal route, on small drawn instances --
+
+SMALL_FIELDS = (2, 3, 4, 5, 7)
+SMALL_GROUPS = ("S3", "Q8", "S3xC:2", "C2xC2", "C:1", "C:2", "C:3", "C:4",
+                "C:5", "C:6")
+
+
+def small_instances(max_size):
+    """(K, G) over F:2-F:7 with |K|^n <= max_size; the group is drawn
+    first, so the nonabelian ones come up as often as the cyclic ones."""
+    fields = {g: [f"F:{q}" for q in SMALL_FIELDS
+                  if q**group_from_spec(g).order <= max_size]
+              for g in SMALL_GROUPS}
+    return st.sampled_from([g for g in SMALL_GROUPS if fields[g]]).flatmap(
+        lambda g: st.sampled_from(fields[g]).map(
+            lambda f: (ring_from_spec(f), group_from_spec(g))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_instances(1 << 12))
+def test_opposite_group_mirrors_the_census(instance):
+    # Ann_l(x) in K[G] is Ann_r(x) in K[G^op], whose table is G.table.T
+    K, G = instance
+    op = from_table(G.table.T)
+    assert (annihilator_histogram(K, G, "left").counts
+            == annihilator_histogram(K, op, "right").counts)
+    assert (annihilator_histogram(K, G, "twosided").counts
+            == annihilator_histogram(K, op, "twosided").counts)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_instances(1 << 12), st.sampled_from(SIDES), st.data())
+def test_rank_equals_enumeration(instance, side, data):
+    K, G = instance
+    total = ring_size(K, G)
+    for e in data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3)):
+        x = element_vector(K, G, e)
+        assert (annihilator_size(K, G, x, side)
+                == annihilator_size_by_enumeration(K, G, x, side))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_instances(1 << 10), st.sampled_from(SIDES))
+def test_census_equals_literal_pair_count(instance, side):
+    # summing |Ann(x)| over x counts the pairs (a, x) with a product zero
+    K, G = instance
+    relation = "ab=0&ba=0" if side == "twosided" else "ab=0"
+    assert (annihilator_histogram(K, G, side).weighted_sum()
+            == pair_count_naive(K, G, relation))
