@@ -131,70 +131,33 @@ def lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"defect: no irreducible of degree {m} over F_{p} found")
 
 
-def _prime_inverses(p: int) -> np.ndarray:
-    """a**(p-2) mod p for every a in [0, p), the inverse table of F_p with
-    0 at 0, by square-and-multiply over the whole range at once; exact in
-    int64 while p*p is, as for :meth:`_ModArrayOps.mul`."""
-    base, inv, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
-    while e:
-        if e & 1:
-            inv *= base
-            inv %= p
-        base *= base
-        base %= p
-        e >>= 1
-    inv[0] = 0
-    return inv
-
-
 class _ModArrayOps:
-    """Vectorized ring ops on arrays of indices, residue arithmetic."""
+    """Vectorized products on arrays of indices, residue arithmetic; exact
+    in int64 while n*n is."""
 
-    def __init__(self, n: int, inv_table: np.ndarray | None):
+    def __init__(self, n: int):
         self.n = n
-        self._inv = inv_table
-
-    def add(self, x, y):
-        return (x + y) % self.n
-
-    def sub(self, x, y):
-        return (x - y) % self.n
 
     def mul(self, x, y):
         return (x * y) % self.n
 
-    def neg(self, x):
-        return (-x) % self.n
-
-    def inv(self, x):
-        if self._inv is None:
-            raise NotInvertibleError(f"not invertible: Z:{self.n} has no inverse table")
-        return self._inv[x]
+    def submul(self, x, f, y):
+        return (x - f * y) % self.n
 
 
 class _TableArrayOps:
-    """Vectorized ring ops on arrays of indices, dense-table arithmetic."""
+    """Vectorized products on arrays of indices, dense-table arithmetic."""
 
-    def __init__(self, add, mul, neg, inv):
+    def __init__(self, add, mul, neg):
         self._add = add
         self._mul = mul
         self._neg = neg
-        self._invt = inv
-
-    def add(self, x, y):
-        return self._add[x, y]
-
-    def sub(self, x, y):
-        return self._add[x, self._neg[y]]
 
     def mul(self, x, y):
         return self._mul[x, y]
 
-    def neg(self, x):
-        return self._neg[x]
-
-    def inv(self, x):
-        return self._invt[x]
+    def submul(self, x, f, y):
+        return self._add[x, self._neg[self._mul[f, y]]]
 
 
 def _elementwise(op, nin: int):
@@ -203,15 +166,12 @@ def _elementwise(op, nin: int):
 
 
 class _ScalarArrayOps:
-    """Vectorized ring ops on arrays of indices, element by element through
+    """Vectorized products on arrays of indices, element by element through
     the scalar arithmetic; for extension fields too large for dense tables."""
 
     def __init__(self, K: "CoeffRing"):
-        self.add = _elementwise(K.add, 2)
-        self.sub = _elementwise(K.sub, 2)
         self.mul = _elementwise(K.mul, 2)
-        self.neg = _elementwise(K.neg, 1)
-        self.inv = _elementwise(K.inv, 1)
+        self.submul = _elementwise(lambda x, f, y: K.sub(x, K.mul(f, y)), 3)
 
 
 class CoeffRing:
@@ -362,13 +322,10 @@ class CoeffRing:
         for i in range(m):
             mul = add[mul, scaled[digits[:, i, None], tib]]
             tib = times_t[tib]
-        inv = np.zeros(q, dtype=np.int64)
-        rows, cols = np.nonzero(mul == 1)
-        inv[rows] = cols
-        return add, mul, neg, inv
+        return add, mul, neg
 
     def tables(self):
-        """(add, mul, neg, inv) dense numpy tables; extension fields only."""
+        """(add, mul, neg) dense numpy tables; extension fields only."""
         if self.kind != EXTENSION_FIELD:
             raise ValueError(f"{self.spec} uses residue arithmetic, not tables")
         if self._tables is None:
@@ -376,20 +333,21 @@ class CoeffRing:
         return self._tables
 
     def array_ops(self):
-        """Vectorized add/sub/mul/neg/inv acting on numpy index arrays.
+        """The two operations the int64 rank kernel reads, on numpy index
+        arrays: mul(x, y) = x*y and submul(x, f, y) = x - f*y.
 
-        Extension fields use dense tables up to q = _TABLE_LIMIT and the
-        scalar arithmetic element by element above it.
+        F:p and Z:n use residue arithmetic; extension fields use dense
+        tables up to q = _TABLE_LIMIT and the scalar arithmetic element by
+        element above it.  Inverses are not among them: the kernel takes
+        its pivot inverses as Fermat powers through mul.
         """
         if self._array_ops is None:
-            if self.kind == EXTENSION_FIELD and self.size > _TABLE_LIMIT:
+            if self.kind != EXTENSION_FIELD:
+                self._array_ops = _ModArrayOps(self.characteristic)
+            elif self.size > _TABLE_LIMIT:
                 self._array_ops = _ScalarArrayOps(self)
-            elif self.kind == EXTENSION_FIELD:
-                self._array_ops = _TableArrayOps(*self.tables())
-            elif self.kind == PRIME_FIELD:
-                self._array_ops = _ModArrayOps(self.p, _prime_inverses(self.p))
             else:
-                self._array_ops = _ModArrayOps(self.n, None)
+                self._array_ops = _TableArrayOps(*self.tables())
         return self._array_ops
 
 

@@ -9,11 +9,11 @@ the group position (see :func:`element_vector`).
 This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
 the gather index, element decoding, the two rank kernels (int64
-elimination for every field, and packed lanes for the slice census over
-F_p (p <= 7) and F_{2^m} (m <= 4)), and, apart from them, the literal
-products: structure constants over the prime ring and a zero-product mask
-taken by exact float matmuls, which read no rank helper and no
-``K.array_ops()`` table.
+elimination for every field, reading only a product and x - f*y from
+``K.array_ops()``, and packed lanes, reading no field arithmetic, for the
+slice census over F_p (p <= 7) and F_{2^m} (m <= 4)), and, apart from
+them, the literal products: structure constants over the prime ring and a
+zero-product mask taken by exact float matmuls, which read no rank helper.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -243,15 +243,28 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
     return np.array([*x, 0], dtype=np.int64)[P]
 
 
-def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
-    """Ranks of a (B, nrows, ncols) stack by in-place elimination, with the
-    pivot rule of :func:`_lane_ranks`: per column, (e_r / lead) * pivot is
-    subtracted from every row r, the pivot row (the first with a nonzero
-    entry) included, so the rank goes up by one whenever any row had the
-    column.  A lead of 0 (no pivot, e all zero) becomes 1 so that ops.inv
-    never sees 0.  `ops` supplies vectorized field arithmetic on index arrays.
-    This int64 kernel serves every field and is the reference.
+def _field_inverse(ops, x: np.ndarray, q: int) -> np.ndarray:
+    """x**(q-2), the inverse of each nonzero x in F_q (Fermat), by
+    square-and-multiply through ops.mul; 1 for q = 2."""
+    inv, e = np.ones_like(x), q - 2
+    while e:
+        if e & 1:
+            inv = ops.mul(inv, x)
+        x, e = ops.mul(x, x), e >> 1
+    return inv
+
+
+def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
+    """Ranks over the field K of a (B, nrows, ncols) stack by in-place
+    elimination, with the pivot rule of :func:`_lane_ranks`: per column the
+    pivot row (the first with a nonzero entry) is scaled to lead 1 and
+    e_r * pivot is subtracted from every row r, the pivot row included, so
+    the rank goes up by one whenever any row had the column.  Only mul and
+    submul of ``K.array_ops()`` are read: the scale is the Fermat inverse
+    of the lead, a lead of 0 (no pivot) taken as 1.  This int64 kernel
+    serves every field and is the reference.
     """
+    ops = K.array_ops()
     B, _, ncols = mats.shape
     b = np.arange(B)
     rank = np.zeros(B, dtype=np.int64)
@@ -259,10 +272,9 @@ def _batch_ranks(mats: np.ndarray, ops) -> np.ndarray:
         e = mats[:, :, col]
         first = np.argmax(e != 0, axis=1)
         lead = e[b, first]
-        pivot = mats[b, first, col:]
-        fac = ops.mul(e, ops.inv(np.where(lead != 0, lead, 1))[:, None])
-        mats[:, :, col:] = ops.sub(mats[:, :, col:],
-                                   ops.mul(fac[:, :, None], pivot[:, None, :]))
+        scale = _field_inverse(ops, np.where(lead != 0, lead, 1), K.size)
+        pivot = ops.mul(mats[b, first, col:], scale[:, None])
+        mats[:, :, col:] = ops.submul(mats[:, :, col:], e[:, :, None], pivot[:, None, :])
         rank += lead != 0
     return rank
 
@@ -310,11 +322,13 @@ def _lane_ranks(rows: np.ndarray, K: CoeffRing, w: int, ncols: int) -> np.ndarra
     No lane carries into the next.
 
     Per column the pivot is the first row with the lane nonzero; its
-    multiples c*pivot, c in K, are built once per batch entry by doubling,
-    and -(e_r / lead)*pivot is added into every row r through one
-    take_along_axis (over F_2, a product).  The pivot row clears itself,
-    as in :func:`_batch_ranks`, so the rank goes up by one whenever any row
-    had the column.
+    multiples c*pivot, c in K, are built once per batch entry by doubling.
+    c*pivot holds c*lead in the column's lane, so one scatter by that lane
+    gives step[c*lead] = -c*pivot, i.e. step[e] = -(e/lead)*pivot, with no
+    field arithmetic.  step[e_r] is added into every row r through one
+    take_along_axis (over F_2, a product).  The pivot row clears itself, as
+    in :func:`_batch_ranks`, so the rank goes up by one whenever any row had
+    the column.
     """
     p, q = K.p, K.size
     low = sum(1 << (w * j) for j in range(ncols))  # bit 0 of every lane
@@ -339,15 +353,16 @@ def _lane_ranks(rows: np.ndarray, K: CoeffRing, w: int, ncols: int) -> np.ndarra
 
         def double(x):
             return add(x, x)
-    ops = K.array_ops()
     B = rows.shape[0]
     b = np.arange(B)
     mask = np.uint64((1 << w) - 1)
     mult = np.zeros((B, q), dtype=np.uint64)
-    elems = np.arange(q)[None, :]
+    step = np.zeros((B, q), dtype=np.uint64)
+    neg = np.arange(q) if p == 2 else (-np.arange(q)) % p  # index of -c
     rank = np.zeros(B, dtype=np.int64)
     for col in range(ncols):
-        e = ((rows >> np.uint64(w * col)) & mask).view(np.int64)
+        at = np.uint64(w * col)
+        e = ((rows >> at) & mask).view(np.int64)
         first = np.argmax(e != 0, axis=1)
         lead = e[b, first]
         # mult[:, c] = c * pivot: index 2**i is 2**i over F_p and t**i over
@@ -357,9 +372,9 @@ def _lane_ranks(rows: np.ndarray, K: CoeffRing, w: int, ncols: int) -> np.ndarra
             j = min(k, q - k)
             mult[:, k:k + j] = add(mult[:, :j], d[:, None])
             d, k = double(d), 2 * k
-        # step[:, c] = -(c / lead) * pivot, looked up by each row's entry
-        fac = ops.mul(elems, ops.neg(ops.inv(np.where(lead != 0, lead, 1)))[:, None])
-        step = np.take_along_axis(mult, fac, axis=1)
+        # step[:, c * lead] = -c * pivot; with no pivot only step[:, 0] is read
+        step[b[:, None], ((mult >> at) & mask).view(np.int64)] = mult[:, neg]
+        step[:, 0] = 0
         if q == 2:  # the lookup is a product, several times cheaper
             rows ^= e.view(np.uint64) * step[:, 1:]
         else:
@@ -375,7 +390,7 @@ def _slice_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
     w = _lane_width(K.p, K.m, n)
     if w:
         return _lane_ranks(_pack_rows(X, P, w), K, w, n)
-    return _batch_ranks(X[:, P], K.array_ops())
+    return _batch_ranks(X[:, P], K)
 
 
 def matrix_rank(K: CoeffRing, rows) -> int:
@@ -385,7 +400,7 @@ def matrix_rank(K: CoeffRing, rows) -> int:
     M = np.array(rows, dtype=np.int64)
     if M.size == 0:
         return 0
-    return int(_batch_ranks(M[None], K.array_ops())[0])
+    return int(_batch_ranks(M[None], K)[0])
 
 
 def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,

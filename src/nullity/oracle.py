@@ -109,7 +109,7 @@ def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
     if sliced:
         ranks = _slice_ranks(K, X, P)
     else:
-        ranks = _batch_ranks(X[:, P], K.array_ops())
+        ranks = _batch_ranks(X[:, P], K)
     support = np.count_nonzero(X, axis=1)
     cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
     return cells.reshape(n + 1, n + 1)

@@ -10,6 +10,7 @@ from nullity.coeffring import (MAX_EXTENSION_DEGREE, NotInvertibleError,
                                field, integers_mod, is_prime,
                                lex_smallest_irreducible,
                                prime_power_decomposition, ring_from_spec)
+from nullity.groupring import _field_inverse
 
 
 def _poly_mul(a, b, p):
@@ -194,12 +195,16 @@ def test_inverse_failures_raise():
 
 
 def test_extension_inverse_by_euclid():
-    # the scalar inverse is extended Euclid over F_p[t]; the dense tables
-    # find inverses by search in the multiplication table
-    for K in (field(2, 8), field(3, 6)):
-        inv_t = K.tables()[3]
-        assert [K.inv(a) for a in range(1, K.size)] == inv_t[1:].tolist()
+    # two independent inverses: the scalar one is extended Euclid over
+    # F_p[t], the rank kernel's is the Fermat power a**(q-2) through the
+    # array products (dense tables up to _TABLE_LIMIT, scalar ops above)
+    for K in (field(2, 2), field(3, 2), field(2, 8), field(3, 6)):
+        a = np.arange(1, K.size)
+        assert _field_inverse(K.array_ops(), a, K.size).tolist() == [
+            K.inv(int(v)) for v in a]
     K = field(3, 8)  # above the table limit
+    a = np.random.default_rng(38).integers(1, K.size, size=200)
+    assert _field_inverse(K.array_ops(), a, K.size).tolist() == [K.inv(int(v)) for v in a]
     assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, K.size))
 
 
@@ -209,26 +214,18 @@ def test_tables_agree_with_scalar_route():
     with pytest.raises(ValueError, match="residue"):
         integers_mod(10).tables()
     for K in (field(2, 4), field(3, 2), field(2, 3, modulus=(1, 1, 0))):
-        add_t, mul_t, neg_t, inv_t = K.tables()
+        add_t, mul_t, neg_t = K.tables()
         for a in range(K.size):
             assert neg_t[a] == K.neg(a)
             for b in range(K.size):
                 assert add_t[a, b] == K.add(a, b)
                 assert mul_t[a, b] == K.mul(a, b)
-        for a in range(K.size):
-            try:
-                expected = K.inv(a)
-            except NotInvertibleError:
-                continue
-            assert inv_t[a] == expected
     # F:3^6 (m = 6, the benchmark's table build) and F:43^2 (the largest tabulated q)
     rng = random.Random(20240611)
     for K in (field(3, 6), field(43, 2)):
-        add_t, mul_t, neg_t, inv_t = K.tables()
+        add_t, mul_t, neg_t = K.tables()
         for a in range(K.size):
             assert neg_t[a] == K.neg(a)
-            if a:
-                assert inv_t[a] == K.inv(a)
         for a in rng.sample(range(K.size), 12):
             assert add_t[a].tolist() == [K.add(a, b) for b in range(K.size)]
             assert mul_t[a].tolist() == [K.mul(a, b) for b in range(K.size)]
@@ -238,28 +235,24 @@ def test_array_ops_agree_with_scalar_route():
     rng = np.random.default_rng(7)
     for K in (field(7), field(2, 3), field(3, 8), integers_mod(12)):
         ops = K.array_ops()
-        x = rng.integers(0, K.size, size=200)
-        y = rng.integers(0, K.size, size=200)
-        assert all(int(v) == K.add(int(a), int(b))
-                   for v, a, b in zip(ops.add(x, y), x, y))
+        x, f, y = rng.integers(0, K.size, size=(3, 200))
         assert all(int(v) == K.mul(int(a), int(b))
                    for v, a, b in zip(ops.mul(x, y), x, y))
-        assert all(int(v) == K.sub(int(a), int(b))
-                   for v, a, b in zip(ops.sub(x, y), x, y))
-        assert all(int(v) == K.neg(int(a)) for v, a in zip(ops.neg(x), x))
-        if K.is_field:
-            nz = x[x != 0]
-            assert all(int(v) == K.inv(int(a)) for v, a in zip(ops.inv(nz), nz))
+        assert all(int(v) == K.sub(int(a), K.mul(int(c), int(b)))
+                   for v, a, c, b in zip(ops.submul(x, f, y), x, f, y))
 
 
-def test_prime_field_inverse_table():
-    # the array inverse of F_p is a table over all of [0, p), 0 at 0
+def test_prime_field_inverse_is_fermat_power():
+    # the F_p pivot inverse is the Fermat power a**(p-2) mod p, taken on
+    # the array and checked against Python's modular inverse
     for p in (2, 3, 5, 7, 11, 13):
-        inv = field(p).array_ops().inv(np.arange(p))
-        assert inv.tolist() == [0] + [pow(a, -1, p) for a in range(1, p)]
+        a = np.arange(1, p)
+        assert _field_inverse(field(p).array_ops(), a, p).tolist() == [
+            pow(int(v), -1, p) for v in a]
     p = 65521
     a = np.random.default_rng(p).integers(1, p, size=2000)
-    assert field(p).array_ops().inv(a).tolist() == [pow(int(v), -1, p) for v in a]
+    assert _field_inverse(field(p).array_ops(), a, p).tolist() == [
+        pow(int(v), -1, p) for v in a]
 
 
 def test_decode_encode_roundtrip():

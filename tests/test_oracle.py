@@ -189,7 +189,7 @@ def test_packed_f2_chunk_equals_int64_chunk():
     mats = X[:, P]
     assert mats.shape == (8192, 32, 16)
     assert np.array_equal(_slice_ranks(field(2), X, P),
-                          _batch_ranks(mats, field(2).array_ops()))
+                          _batch_ranks(mats, field(2)))
 
 
 LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
@@ -224,6 +224,18 @@ def test_census_over_large_extension_field():
     # F:3^8 has no dense tables; the census runs on scalar arithmetic
     hist = annihilator_histogram(field(3, 8), cyclic(1))
     assert hist.counts == [6560, 1]
+
+
+def test_census_over_large_prime_field_builds_no_inverse_table():
+    # one 1x1 matrix is ranked; a p-entry table of inverses would take 32 MiB
+    tracemalloc.start()
+    try:
+        hist = annihilator_histogram(field(4194301), cyclic(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.counts == [4194300, 1]
+    assert peak < 1 << 20
 
 
 def test_census_argument_validation():
