@@ -10,9 +10,10 @@ This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
 the gather index, element decoding, the two rank kernels (int64
 elimination for every field, reading only a product and x - f*y from
-``K.array_ops()``, and packed lanes, reading no field arithmetic, for the
-slice census over F_p (p <= 7) and F_{2^m} (m <= 4)), and, apart from
-them, the literal products: structure constants over the prime ring and a
+``K.array_ops()``, and a bit-sliced kernel, 64 elements a word in binary
+planes, reading no field arithmetic, for the slice census over F_p
+(p <= 7) and every F_{2^m}, ranked over F_2), and, apart from them, the
+literal products: structure constants over the prime ring and a
 zero-product mask taken by exact float matmuls, which read no rank helper.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
@@ -256,8 +257,8 @@ def _field_inverse(ops, x: np.ndarray, q: int) -> np.ndarray:
 
 def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
     """Ranks over the field K of a (B, nrows, ncols) stack by in-place
-    elimination, with the pivot rule of :func:`_lane_ranks`: per column the
-    pivot row (the first with a nonzero entry) is scaled to lead 1 and
+    elimination, with the pivot rule of :func:`_plane_ranks`: per column
+    the pivot row (the first with a nonzero entry) is scaled to lead 1 and
     e_r * pivot is subtracted from every row r, the pivot row included, so
     the rank goes up by one whenever any row had the column.  Only mul and
     submul of ``K.array_ops()`` are read: the scale is the Fermat inverse
@@ -279,117 +280,185 @@ def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
     return rank
 
 
-def _lane_width(p: int, m: int, ncols: int) -> int:
-    """Bits per column of the packed-row kernel over F_{p^m} with ncols
-    columns, or 0 where it does not apply.  F_{2^m} with m <= 4 takes m
-    bits (F_2 one bit), F_p with p <= 7 takes 4 bits, and a whole row must
-    fit one uint64.  The kernel builds all q multiples of each pivot, so
-    its work per column grows with q.  Larger fields stay on int64: from
-    F:17 and F:32 up it ran their censuses faster, and no benchmark
-    workload measures F:11 or F:13, where lanes won at n >= 5."""
-    if p == 2 and m <= 4:
-        w = m
-    elif m == 1 and p <= 7:
-        w = 4
-    else:
-        return 0
-    return w if w * ncols <= 64 else 0
+def _bitsliced(K: CoeffRing) -> bool:
+    """Whether the slice census ranks over K on bit-sliced planes: every
+    field of characteristic 2 (F_{2^m} over F_2) and F_p with p <= 7.
+    Larger primes and odd extension fields stay on :func:`_batch_ranks`;
+    over F_3 the small slices of F:3^m ranked several times slower
+    bit-sliced than on dense tables."""
+    return K.p == 2 or (K.m == 1 and K.p <= 7)
 
 
-def _pack_rows(X: np.ndarray, P: np.ndarray, w: int) -> np.ndarray:
-    """The gather X[:, P] as (B, R) uint64 words, column j of each row in
-    lane j (bits w*j to w*j + w - 1).  X holds digits below 2**w; they are
-    gathered as uint8, one column of P at a time, so the (B, R, n) stack
-    is never built.  The gather runs on the transposes, where it copies
-    whole rows."""
-    XT = np.ascontiguousarray(X.T, dtype=np.uint8)
-    rows = np.zeros((P.shape[0], X.shape[0]), dtype=np.uint64)
-    for j in range(P.shape[1]):
-        rows |= XT[P[:, j]].astype(np.uint64) << np.uint64(w * j)
-    return np.ascontiguousarray(rows.T)
+def _index_digits(K: CoeffRing, n: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, n) uint8 base-|K| digits of lo..hi-1 over a bit-sliced
+    field K (see :func:`_bitsliced`).  Over F_{2^m} digit j is bits m*j to
+    m*j + m - 1 of the index, unpacked from its bytes; over F_p the digits
+    are read k at a time from a table of the p**k <= 4096 k-digit numbers.
+    Either way only a few divisions run per element."""
+    B = hi - lo
+    if K.p == 2:
+        m = K.m
+        e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
+        bits = np.unpackbits(e, axis=1, count=n * m, bitorder="little").reshape(B, n, m)
+        digits = bits[:, :, 0]
+        for i in range(1, m):
+            digits |= bits[:, :, i] << i
+        return digits
+    q, k = K.size, 1
+    while q ** (k + 1) <= 4096:
+        k += 1
+    table = _decode_elements(q, k, 0, q**k).astype(np.uint8)
+    e = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((B, n), dtype=np.uint8)
+    for j in range(0, n, k):
+        e, low = np.divmod(e, q**k)
+        digits[:, j:j + k] = np.take(table, low, axis=0)[:, :n - j]
+    return digits
 
 
-def _lane_ranks(rows: np.ndarray, K: CoeffRing, w: int, ncols: int) -> np.ndarray:
-    """Ranks over F_p or F_{2^m} of (B, R) rows packed by :func:`_pack_rows`
-    in w-bit lanes, w = _lane_width(K.p, K.m, ncols); rows may be
+def _digit_planes(X: np.ndarray, w: int) -> np.ndarray:
+    """(ncoef, w, L) uint64 planes of the (B, ncoef) digits X, L = ceil(B/64):
+    bit l of word k of plane b of coefficient j is bit b of X[64k + l, j].
+    The B rows are padded to 64L with the zero element."""
+    B, ncoef = X.shape
+    L = -(-B // 64)
+    D = np.zeros((ncoef, 1, 64 * L), dtype=np.uint8)
+    D[:, 0, :B] = X.T
+    bits = (D >> np.arange(w, dtype=np.uint8)[:, None]) & 1
+    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+
+def _lane_counts(words: np.ndarray) -> np.ndarray:
+    """Per bit lane, how many of the (k, L) words have it set."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
+
+
+def _times_t(A: np.ndarray, modulus) -> np.ndarray:
+    """Planes of t*x over F_{2^m} from the (.., m, L) planes of x: the
+    coefficients shift up one place and t**m = sum modulus[i] t**i folds
+    the top one back in."""
+    out = np.roll(A, 1, axis=-2)
+    top = A[..., -1, :]
+    out[..., 0, :] = 0
+    for i, a in enumerate(modulus):
+        if a:
+            out[..., i, :] ^= top
+    return out
+
+
+def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """x + y over F_p (p odd) on planes along axis 1, a value stored as its
+    w binary digits: a ripple-carry sum s in w + 1 bits, then 2**w - p
+    added mod 2**w wherever s >= p.  out may be x."""
+    w = x.shape[1]
+    s, carry = [], None
+    for b in range(w):
+        xb, yb = x[:, b], y[:, b]
+        t = xb ^ yb
+        if carry is None:
+            carry = xb & yb
+        else:  # t ^ carry, and the majority of xb, yb and carry
+            both = xb & yb
+            sb = t ^ carry
+            t &= carry
+            carry = both | t
+            t = sb
+        s.append(t)
+    s.append(carry)
+    ge = s[0].copy()  # s >= p on bits 0..b, from the low bit up; p is odd
+    for b in range(1, w + 1):
+        if (p >> b) & 1:
+            ge &= s[b]
+        else:
+            ge |= s[b]
+    out = np.empty_like(x) if out is None else out
+    k, carry = (1 << w) - p, None
+    for b in range(w):
+        if (k >> b) & 1 and carry is None:
+            np.bitwise_xor(s[b], ge, out=out[:, b])
+            carry = s[b] & ge
+        elif (k >> b) & 1:
+            kb = ge ^ carry
+            carry &= ge
+            carry |= s[b] & kb
+            np.bitwise_xor(s[b], kb, out=out[:, b])
+        elif carry is None:
+            out[:, b] = s[b]
+        else:
+            np.bitwise_xor(s[b], carry, out=out[:, b])
+            carry &= s[b]
+    return out
+
+
+def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p, p <= 7, of the bit-sliced (ncols, w, R, L) stack W,
+    one matrix per bit lane, entry values in w binary planes; W is
     overwritten.
 
-    A lane holds the element index, which over F_{2^m} is the bit vector of
-    its coefficients in t.  Over F_{2^m} lanes add by XOR, and t*x shifts
-    each lane up one bit and folds t**m back in by the modulus.  Over F_p
-    the words are added, and p is subtracted in every lane whose sum
-    reaches p: exactly the lanes whose top bit adding 2**(w-1) - p sets.
-    No lane carries into the next.
+    Per column, the first row with a nonzero entry is each lane's pivot
+    (``bitwise_or.accumulate`` down the rows), and every row r, the pivot
+    row included, gets e_r - (e_r/lead)*pivot, so the column clears and the
+    rank goes up by one in every lane where any row had the column.  Over
+    F_2 that is adding the pivot row (XOR) to every row with the bit.
+    Otherwise the multiples a*pivot, a in 1..p-1, are built by repeated
+    addition, and row r adds -a*pivot where a*lead equals e_r, which
+    equality masks pick out per lane, so no field inverse runs."""
+    ncols, w, R, L = W.shape
+    pivots = np.empty((ncols, L), dtype=np.uint64)
+    for c in range(ncols):
+        E = W[c]
+        nz = np.bitwise_or.reduce(E, axis=0)
+        seen = np.bitwise_or.accumulate(nz, axis=0)
+        pivots[c] = seen[-1]
+        first = nz.copy()
+        first[1:] &= ~seen[:-1]
+        if p == 2:
+            rest = W[c + 1:]
+            rest ^= nz & np.bitwise_or.reduce(rest & first, axis=2)[:, :, None, :]
+            continue
+        piv = np.bitwise_or.reduce(W[c:] & first, axis=2)
+        mult = [None, piv]
+        for _ in range(2, p):
+            mult.append(_plane_add(p, mult[-1], piv))
+        step = np.zeros_like(W[c + 1:])
+        for a in range(1, p):
+            eq = nz.copy()
+            for b in range(w):
+                eq &= ~(E[b] ^ mult[a][0, b])
+            step |= eq & mult[p - a][1:, :, None, :]
+        _plane_add(p, W[c + 1:], step, out=W[c + 1:])
+    return _lane_counts(pivots)
 
-    Per column the pivot is the first row with the lane nonzero; its
-    multiples c*pivot, c in K, are built once per batch entry by doubling.
-    c*pivot holds c*lead in the column's lane, so one scatter by that lane
-    gives step[c*lead] = -c*pivot, i.e. step[e] = -(e/lead)*pivot, with no
-    field arithmetic.  step[e_r] is added into every row r through one
-    take_along_axis (over F_2, a product).  The pivot row clears itself, as
-    in :func:`_batch_ranks`, so the rank goes up by one whenever any row had
-    the column.
-    """
-    p, q = K.p, K.size
-    low = sum(1 << (w * j) for j in range(ncols))  # bit 0 of every lane
-    lanes, top, shift = np.uint64(low), np.uint64(low << (w - 1)), np.uint64(w - 1)
+
+def _bitsliced_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Ranks of the gathered stack X[:, P] over K (see :func:`_bitsliced`),
+    one element per bit lane: the planes of X's digits are gathered by P.
+
+    F_{2^m} is ranked over F_2: multiplication by x is an nm x nm matrix
+    over F_2 whose (r, c) block holds bit i of x_P[r, c] * t**s at (i, s),
+    built by multiplication by t from the modulus, and its rank is m times
+    the rank over F_{2^m}."""
+    B = X.shape[0]
+    R, n = P.shape
+    p, m = K.p, K.m
     if p == 2:
-        add = np.bitwise_xor
-        fold = np.uint64(K.encode(K.modulus_poly or ()))
-
-        def double(x):  # t * x
-            return ((x & ~top) << np.uint64(1)) ^ (((x >> shift) & lanes) * fold)
-    else:
-        bias, pw = np.uint64(((1 << (w - 1)) - p) * low), np.uint64(p)
-
-        def add(x, y):
-            s = x + y
-            carry = s + bias
-            carry >>= shift
-            carry &= lanes
-            carry *= pw
-            s -= carry
-            return s
-
-        def double(x):
-            return add(x, x)
-    B = rows.shape[0]
-    b = np.arange(B)
-    mask = np.uint64((1 << w) - 1)
-    mult = np.zeros((B, q), dtype=np.uint64)
-    step = np.zeros((B, q), dtype=np.uint64)
-    neg = np.arange(q) if p == 2 else (-np.arange(q)) % p  # index of -c
-    rank = np.zeros(B, dtype=np.int64)
-    for col in range(ncols):
-        at = np.uint64(w * col)
-        e = ((rows >> at) & mask).view(np.int64)
-        first = np.argmax(e != 0, axis=1)
-        lead = e[b, first]
-        # mult[:, c] = c * pivot: index 2**i is 2**i over F_p and t**i over
-        # F_{2^m}, and mult[:, 2**i + c] = mult[:, 2**i] + mult[:, c]
-        d, k = rows[b, first], 1
-        while k < q:
-            j = min(k, q - k)
-            mult[:, k:k + j] = add(mult[:, :j], d[:, None])
-            d, k = double(d), 2 * k
-        # step[:, c * lead] = -c * pivot; with no pivot only step[:, 0] is read
-        step[b[:, None], ((mult >> at) & mask).view(np.int64)] = mult[:, neg]
-        step[:, 0] = 0
-        if q == 2:  # the lookup is a product, several times cheaper
-            rows ^= e.view(np.uint64) * step[:, 1:]
-        else:
-            rows = add(rows, np.take_along_axis(step, e, axis=1))
-        rank += lead != 0
-    return rank
+        planes = [_digit_planes(X, m)]
+        for _ in range(1, m):
+            planes.append(_times_t(planes[-1], K.modulus_poly))
+        W = np.stack(planes, axis=1)[P.T]  # (n, R, s, i, L)
+        W = W.transpose(0, 2, 1, 3, 4).reshape(n * m, 1, R * m, -1)
+        return _plane_ranks(W, 2)[:B] // m
+    W = _digit_planes(X, (p - 1).bit_length())[P.T]  # (n, R, w, L)
+    return _plane_ranks(np.ascontiguousarray(W.transpose(0, 2, 1, 3)), p)[:B]
 
 
 def _slice_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Ranks of the gathered stack X[:, P] over the field K: on packed lanes
-    where :func:`_lane_width` allows them, else by :func:`_batch_ranks`."""
-    n = P.shape[1]
-    w = _lane_width(K.p, K.m, n)
-    if w:
-        return _lane_ranks(_pack_rows(X, P, w), K, w, n)
+    """Ranks of the gathered stack X[:, P] over the field K: bit-sliced
+    where :func:`_bitsliced` picks it from the field, else by
+    :func:`_batch_ranks`."""
+    if _bitsliced(K):
+        return _bitsliced_ranks(K, X, P)
     return _batch_ranks(X[:, P], K)
 
 

@@ -22,9 +22,9 @@ tables, so group algebras and matrix rings share the code.  The table
 helpers (gather index, element decoding, structure constants and the
 literal zero-product mask, rank kernels) live in :mod:`nullity.groupring`.
 
-Chunk boundaries depend only on the amount of work, so histograms are
-identical for any worker count; partial tables merge by componentwise
-addition.
+Chunk boundaries depend only on the amount of work and the rank kernel,
+so histograms are identical for any worker count; partial tables merge
+by componentwise addition.
 """
 
 from __future__ import annotations
@@ -38,13 +38,17 @@ import numpy as np
 
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
-                        _check_side, _decode_elements, _is_int, _slice_ranks,
+                        _bitsliced, _check_side, _decode_elements,
+                        _index_digits, _is_int, _slice_ranks,
                         _structure_constants, _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
 DEFAULT_MAX_PAIRS = 1 << 20
-_CHUNK = 1 << 13
+# elements per bit-sliced census chunk, enough that two worker threads
+# spend their time in numpy loops; the int64 kernel takes a quarter, since
+# it holds a (B, R, n) int64 stack and temporaries of that size
+_CHUNK = 1 << 15
 # float entries per product block of the pair counter (256 KiB in float32)
 _PRODUCT_BLOCK = 1 << 16
 
@@ -82,16 +86,22 @@ class AnnihilatorHistogram:
         return Fraction(self.weighted_sum(), self.base ** (2 * n))
 
 
-def _census_rows(size: int, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
+def _census_rows(K: CoeffRing, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
     """Coefficient rows of elements lo..hi plus a zero column for the
     gather sentinel: all of the algebra, or the slice x_e = 1 whose index
-    j holds (1, base-|K| digits of j)."""
-    X = np.zeros((hi - lo, n + 1), dtype=np.int64)
-    if sliced:
-        X[:, 0] = 1
-        X[:, 1:n] = _decode_elements(size, n - 1, lo, hi)
+    j holds (1, base-|K| digits of j).  Slice rows for the bit-sliced
+    kernel are uint8 digits from :func:`_index_digits`."""
+    if not sliced:
+        X = np.zeros((hi - lo, n + 1), dtype=np.int64)
+        X[:, :n] = _decode_elements(K.size, n, lo, hi)
+        return X
+    if _bitsliced(K):
+        X = np.zeros((hi - lo, n + 1), dtype=np.uint8)
+        X[:, 1:n] = _index_digits(K, n - 1, lo, hi)
     else:
-        X[:, :n] = _decode_elements(size, n, lo, hi)
+        X = np.zeros((hi - lo, n + 1), dtype=np.int64)
+        X[:, 1:n] = _decode_elements(K.size, n - 1, lo, hi)
+    X[:, 0] = 1
     return X
 
 
@@ -99,13 +109,14 @@ def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
                   sliced: bool) -> np.ndarray:
     """tab[k, s] = #{x in the chunk : nullity k, support size s}.
 
-    A sliced census ranks through :func:`_slice_ranks`, on packed lanes
-    over F_p (p <= 7) and F_{2^m} (m <= 4) when a row fits one uint64;
-    method="full" gathers the int64 stack X[:, P] for the elimination that
-    stays the reference.
+    A sliced census ranks through :func:`_slice_ranks`, which picks the
+    kernel from the field: bit-sliced, 64 elements a word in binary
+    planes, over F_p (p <= 7) and every F_{2^m} (over F_2), else int64;
+    method="full" gathers the int64 stack X[:, P] for the elimination
+    that stays the reference.
     """
     n = P.shape[1]
-    X = _census_rows(K.size, n, lo, hi, sliced)
+    X = _census_rows(K, n, lo, hi, sliced)
     if sliced:
         ranks = _slice_ranks(K, X, P)
     else:
@@ -203,11 +214,13 @@ def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
         raise CapExceeded(
             f"census over |K|^n = {total} elements exceeds max_elements={max_elements}")
     work = total // K.size if sliced else total
-    chunks = -(-work // _CHUNK)
+    bitsliced = sliced and _bitsliced(K)
+    chunks = -(-work // (_CHUNK if bitsliced else _CHUNK // 4))
     pool = _pool_size(workers, chunks)
     spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
     P = _ann_gather_indices(table, side)
-    K.array_ops()  # build shared tables once, outside worker threads
+    if not bitsliced:
+        K.array_ops()  # the int64 kernel's tables, built once outside the threads
     if pool > 1:
         with ThreadPoolExecutor(max_workers=pool) as ex:
             parts = list(ex.map(lambda s: _census_chunk(K, P, *s, sliced), spans))

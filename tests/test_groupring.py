@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
-from nullity.groupring import (CapExceeded, _batch_ranks, _decode_elements,
-                               _lane_width, _one_blas_thread, _openblas_threads,
-                               _slice_ranks, _structure_constants,
+from nullity.groupring import (CapExceeded, _batch_ranks, _bitsliced,
+                               _bitsliced_ranks, _decode_elements, _index_digits,
+                               _one_blas_thread, _openblas_threads,
+                               _structure_constants,
                                _zero_product_mask, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
@@ -170,11 +171,12 @@ def test_batch_ranks_equal_reference_elimination(spec, n, batch):
 
 
 def _lane_ranks_of(mats, K):
-    """The lane kernel on a (B, R, n) stack: with X the stack flattened per
-    entry and P[r, j] = r*n + j, the gather X[:, P] is the stack itself."""
+    """The bit-sliced kernel on a (B, R, n) stack: with X the stack
+    flattened per entry and P[r, j] = r*n + j, the gather X[:, P] is the
+    stack itself."""
     B, R, n = mats.shape
-    assert _lane_width(K.p, K.m, n), f"{K.spec} at n = {n} is not on lanes"
-    return _slice_ranks(K, mats.reshape(B, -1), np.arange(R * n).reshape(R, n))
+    assert _bitsliced(K), f"{K.spec} is not bit-sliced"
+    return _bitsliced_ranks(K, mats.reshape(B, -1), np.arange(R * n).reshape(R, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
@@ -194,31 +196,48 @@ def test_packed_gf2_ranks_equal_int64_ranks(n):
 
 
 def test_packed_gf2_ranks_use_the_top_bit():
-    # column 63 is bit 63 of the uint64 row: the sign bit of an int64
-    top = np.zeros((4, 2, 64), dtype=np.int64)
-    top[0, 0, 63] = 1
-    top[1, :, 63] = 1
-    top[2, 0, 63] = top[2, 1, 62] = top[2, 1, 63] = 1
-    top[3, 0, 0] = top[3, 1, 63] = 1
-    assert _lane_ranks_of(top, field(2)).tolist() == [1, 1, 2, 2]
+    # lane 63 is bit 63 of the first word, the sign bit of an int64; lanes
+    # 64 and 128 open the next two words, and lane 129 is the last of 130
+    mats = np.zeros((130, 2, 3), dtype=np.int64)
+    mats[63] = [[1, 0, 1], [0, 1, 1]]
+    mats[64] = [[1, 1, 0], [1, 1, 0]]
+    mats[127, 1, 2] = 1
+    mats[129] = [[0, 0, 1], [0, 1, 0]]
+    want = [0] * 130
+    want[63], want[64], want[127], want[129] = 2, 1, 1, 2
+    for spec in ("F:2", "F:4", "F:7"):
+        assert _lane_ranks_of(mats, ring_from_spec(spec)).tolist() == want
 
 
-def test_lane_width_covers_small_fields_only():
-    assert [_lane_width(2, 1, 64), _lane_width(2, 1, 65)] == [1, 0]
-    assert [_lane_width(p, 1, 16) for p in (3, 5, 7)] == [4, 4, 4]
-    assert [_lane_width(2, m, 64 // m) for m in (2, 3, 4)] == [2, 3, 4]
-    # too many columns, primes past 7, F_{2^m} past m = 4 and odd extension
-    # fields stay on int64
-    assert _lane_width(3, 1, 17) == _lane_width(2, 3, 22) == 0
-    assert _lane_width(11, 1, 2) == _lane_width(127, 1, 2) == 0
-    assert _lane_width(2, 5, 2) == _lane_width(2, 8, 2) == 0
-    assert _lane_width(3, 2, 2) == _lane_width(3, 8, 1) == 0
+def test_bitsliced_kernel_covers_char2_and_small_primes():
+    # the field alone picks the kernel: every F_{2^m}, and F_p for p <= 7
+    assert all(_bitsliced(field(2, m)) for m in range(1, 9))
+    assert all(_bitsliced(field(p)) for p in (3, 5, 7))
+    # larger primes and odd extension fields stay on int64
+    assert not any(_bitsliced(K) for K in (field(11), field(127), field(3, 2),
+                                          field(3, 8), field(5, 2), field(7, 2)))
 
 
-# each field at a small n and at n = 64 // w, the most lanes a word holds:
-# for w = 1, 2 and 4 the top lane ends on bit 63
+@pytest.mark.parametrize("spec", ["F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:256"])
+def test_index_digits_equal_decoded_digits(spec):
+    # index bits over F_{2^m} and k-digit table reads over F_p, against the
+    # base-q division (exact while q**n < 2**63); windows start and end
+    # anywhere, past a table's span
+    K = ring_from_spec(spec)
+    for n, lo, hi in ((0, 0, 3), (1, 0, 2), (4, 3, 200), (6, 1000, 1300), (7, 4095, 4200)):
+        hi = min(hi, K.size ** n)
+        lo = min(lo, hi - 1)
+        got = _index_digits(K, n, lo, hi)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _decode_elements(K.size, n, lo, hi))
+
+
+# each field at a small n and at a large one (F:4 at n = 32 and F:8 at
+# n = 21 are 64- and 63-column matrices over F_2), F:32 and F:256 past
+# the old four-bit lanes
 LANE_CASES = [("F:3", 3), ("F:3", 16), ("F:5", 2), ("F:5", 16), ("F:7", 3), ("F:7", 16),
-              ("F:4", 3), ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16)]
+              ("F:4", 3), ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16),
+              ("F:32", 3), ("F:256", 2)]
 
 
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
@@ -238,16 +257,19 @@ def test_lane_ranks_equal_int64_ranks(spec, n):
 
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
 def test_lane_ranks_read_no_field_arithmetic(spec, n, monkeypatch):
-    # the lane kernel takes its pivot steps from the pivot multiples it
-    # builds, so it needs no product, no inverse and no table of the field
+    # the kernel takes its pivot steps from the pivot multiples it builds
+    # by addition, and F_{2^m} from the modulus alone, so it needs no
+    # product, no inverse and no table of the field
     K = ring_from_spec(spec)
     mats = _random_stack(K, np.random.default_rng(20261021 + n), 48, 2 * n, n)
     want = _batch_ranks(mats.copy(), K).tolist()
 
     def forbidden(self):
-        raise AssertionError("the lane kernel read the field's array ops")
+        raise AssertionError("the bit-sliced kernel read the field's arithmetic")
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
+    monkeypatch.setattr(CoeffRing, "tables", forbidden)
+    monkeypatch.setattr(K, "_tpow", None)
     assert _lane_ranks_of(mats, K).tolist() == want
 
 

@@ -11,7 +11,7 @@ import pytest
 from nullity import groupring, oracle
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.formulas import cyclic_histogram_counts
-from nullity.groupring import (CapExceeded, _batch_ranks, _lane_width, _pack_rows,
+from nullity.groupring import (CapExceeded, _batch_ranks, _digit_planes,
                                _slice_ranks, ring_size)
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
 from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
@@ -183,11 +183,12 @@ def test_packed_f2_census_equals_full_census(group):
 
 
 def test_packed_f2_chunk_equals_int64_chunk():
-    # one whole chunk of the F:2 Q8xC:2 twosided slice gather
+    # 8193 = 64 * 128 + 1 elements of the F:2 Q8xC:2 twosided slice gather:
+    # 128 whole words and one lane of the next
     P = _ann_gather_indices(group_from_spec("Q8xC:2").table, "twosided")
-    X = oracle._census_rows(2, 16, 0, oracle._CHUNK, True)
-    mats = X[:, P]
-    assert mats.shape == (8192, 32, 16)
+    X = oracle._census_rows(field(2), 16, 0, 8193, True)
+    mats = X[:, P].astype(np.int64)
+    assert mats.shape == (8193, 32, 16)
     assert np.array_equal(_slice_ranks(field(2), X, P),
                           _batch_ranks(mats, field(2)))
 
@@ -195,7 +196,10 @@ def test_packed_f2_chunk_equals_int64_chunk():
 LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
                      ("F:5", "S3", "right"), ("F:5", "S3", "twosided"),
                      ("F:7", "C:4", "left"), ("F:4", "S3", "twosided"),
-                     ("F:8", "C:3", "left"), ("F:16", "C:2", "right")]
+                     ("F:8", "C:3", "left"), ("F:16", "C:2", "right"),
+                     ("F:32", "C:2", "left"), ("F:32", "C:3", "twosided"),
+                     ("F:64", "C:2", "twosided"), ("F:64", "C:3", "left"),
+                     ("F:256", "C:2", "right")]
 
 
 @pytest.mark.parametrize("coeff,group,side", LANE_CENSUS_CASES,
@@ -206,18 +210,86 @@ def test_lane_census_equals_full_census(coeff, group, side):
     assert annihilator_histogram(K, G, side).counts == full.counts
 
 
+@pytest.mark.parametrize("side", ["left", "twosided"])
+def test_f256_c3_census_equals_cyclic_closed_form(side):
+    # the full census of F:256 C:3 ranks 2**24 elements on int64 (about
+    # 15 s), so the slice census is checked against the closed form here
+    K = field(2, 8)
+    hist = annihilator_histogram(K, cyclic(3), side, max_elements=1 << 24)
+    assert hist.counts == cyclic_histogram_counts(256, 3)
+
+
 @pytest.mark.parametrize("coeff,group,side", [
     ("F:2", "Q8xC:2", "twosided"), ("F:3", "S3", "left"), ("F:7", "C:4", "right"),
     ("F:5", "C:2", "twosided"), ("F:8", "C:3", "left"), ("F:16", "C:2", "right")])
 def test_rows_packed_at_the_gather_equal_the_packed_stack(coeff, group, side):
+    # the kernel gathers the digit planes by P; packing the int64 stack
+    # X[:, P] lane by lane gives the same words, the tail lanes zero
     K, G = ring_from_spec(coeff), group_from_spec(group)
     n = G.order
-    w = _lane_width(K.p, K.m, n)
+    w = K.m if K.p == 2 else (K.p - 1).bit_length()
     P = _ann_gather_indices(G.table, side)
-    X = oracle._census_rows(K.size, n, 0, min(oracle._CHUNK, K.size ** (n - 1)), True)
-    shifts = np.uint64(w) * np.arange(n, dtype=np.uint64)
-    plain = np.bitwise_or.reduce(X[:, P].astype(np.uint64) << shifts, axis=2)
-    assert np.array_equal(_pack_rows(X, P, w), plain)
+    work = K.size ** (n - 1)
+    lo = 37 % work  # off the 64-lane grid at both ends
+    hi = lo + min(1000, work - lo)
+    X = oracle._census_rows(K, n, lo, hi, True)
+    mats = X[:, P].astype(np.uint64)
+    L = -(-(hi - lo) // 64)
+    lanes = np.zeros((64 * L,) + P.shape + (w,), dtype=np.uint64)
+    lanes[:hi - lo] = (mats[..., None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
+    lanes <<= (np.arange(64 * L, dtype=np.uint64) % np.uint64(64))[:, None, None, None]
+    words = np.bitwise_or.reduce(lanes.reshape(L, 64, *P.shape, w), axis=1)
+    assert np.array_equal(_digit_planes(X, w)[P], words.transpose(1, 2, 3, 0))
+
+
+TAIL_CASES = [("F:2", "S3", "twosided"), ("F:3", "C:2", "left"),
+              ("F:4", "C:4", "right"), ("F:7", "C:3", "twosided"),
+              ("F:5", "C2xC2", "left")]
+
+
+@pytest.mark.parametrize("chunk", [None, 50, 129])
+@pytest.mark.parametrize("coeff,group,side", TAIL_CASES,
+                         ids=["-".join(c) for c in TAIL_CASES])
+def test_tail_lanes_census_equals_full_census(coeff, group, side, chunk, monkeypatch):
+    # slices of 32 (F:2 S3) and 3 (F:3 C:2) elements fill part of one
+    # word; chunks of 50 and 129 elements start and end off the 64-lane grid
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    full = annihilator_histogram(K, G, side, method="full").counts
+    for workers in (1, 2):
+        assert annihilator_histogram(K, G, side, workers=workers).counts == full
+
+
+@pytest.mark.parametrize("coeff,group,side", [
+    ("F:2", "C:10", "left"), ("F:3", "C:6", "twosided"), ("F:4", "C:5", "right"),
+    ("F:7", "C:4", "left"), ("F:32", "C:3", "twosided")])
+def test_chunk_of_64k_plus_one_elements_equals_int64_ranks(coeff, group, side):
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    P = _ann_gather_indices(G.table, side)
+    X = oracle._census_rows(K, G.order, 5, 5 + 129, True)
+    assert np.array_equal(_slice_ranks(K, X, P),
+                          _batch_ranks(X[:, P].astype(np.int64), K))
+
+
+def test_char2_slice_census_reads_no_field_table(monkeypatch):
+    # F_{2^m} is ranked over F_2 through multiplication by t folded by the
+    # modulus: no structure constants, dense tables, array ops or powers of t
+    cases = [("F:4", "S3", "twosided"), ("F:8", "C:3", "left"),
+             ("F:32", "C:3", "right")]
+    want = [annihilator_histogram(ring_from_spec(c), group_from_spec(g), side,
+                                  method="full").counts for c, g, side in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bit-sliced census read a field table")
+
+    monkeypatch.setattr(groupring, "_structure_constants", forbidden)
+    monkeypatch.setattr(CoeffRing, "tables", forbidden)
+    monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
+    for (coeff, group, side), counts in zip(cases, want):
+        K = ring_from_spec(coeff)
+        K._tpow = None
+        assert annihilator_histogram(K, group_from_spec(group), side).counts == counts
 
 
 def test_census_over_large_extension_field():
@@ -388,6 +460,8 @@ def test_m3_weighted_sum_equals_literal_pair_count():
     assert _pair_count(K, table, "ab=0", 2**18) == hist.weighted_sum()
 
 
+# F:2-F:8 and F:16 rank bit-sliced (F:4, F:8 and F:16 over F_2), F:9 and
+# F:11 on int64
 MATRIX_SLICE_CASES = ([(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)]
                       + [(3, 2), (3, 3)])
 
@@ -395,7 +469,6 @@ MATRIX_SLICE_CASES = ([(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16)]
 @pytest.mark.parametrize("m,q", MATRIX_SLICE_CASES,
                          ids=[f"M{m}-F:{q}" for m, q in MATRIX_SLICE_CASES])
 def test_matrix_slice_census_equals_full_census(m, q, monkeypatch):
-    # F:2-F:7, F:8 and F:16 rank on lanes of width 1-4, F:9 and F:11 on int64
     K, table = ring_from_spec(f"F:{q}"), _matrix_unit_table(m)
     for side in ("left", "right", "twosided"):
         if (m, side) == (3, "left"):  # the full census, pinned above
@@ -406,7 +479,7 @@ def test_matrix_slice_census_equals_full_census(m, q, monkeypatch):
         if m == 2:
             assert m2_annihilator_histogram(K, side).counts == full
         with monkeypatch.context() as mp:
-            # four or five chunks of the slice for two workers to share
+            # several chunks of the slice for two workers to share
             mp.setattr(oracle, "_CHUNK", max(1, q**(m * m - 1) // 4))
             for workers in (1, 2):
                 assert _census(K, f"M{m}", table, side, max_elements=q**(m * m),
@@ -537,7 +610,8 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
         raise AssertionError("the literal route read a census helper")
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
-    for name in ("_ann_gather_indices", "_batch_ranks", "_slice_ranks", "_lane_ranks"):
+    for name in ("_ann_gather_indices", "_batch_ranks", "_slice_ranks",
+                 "_bitsliced_ranks"):
         monkeypatch.setattr(groupring, name, forbidden)
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want

@@ -1,19 +1,22 @@
-"""Property tests: the closed-form engine against the census, and the
-census and per-element ranks against literal products, on drawn
-instances.  Derandomized, so every run draws the same examples."""
+"""Property tests: the closed-form engine against the census, the
+census and per-element ranks against literal products, and the
+bit-sliced rank kernel against the int64 one, on drawn instances.
+Derandomized, so every run draws the same examples."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullity.coeffring import ring_from_spec
 from nullity.formulas import _histogram_counts, cyclic_components
-from nullity.groupring import (SIDES, annihilator_size,
+from nullity.groupring import (SIDES, _ann_gather_indices, _batch_ranks,
+                               _bitsliced_ranks, annihilator_size,
                                annihilator_size_by_enumeration, element_vector,
                                ring_size)
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
-from nullity.oracle import annihilator_histogram, pair_count_naive
+from nullity.oracle import _census_rows, annihilator_histogram, pair_count_naive
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32)
 # the census ranks the |K|^(n-1) elements of the slice x_e = 1
@@ -99,3 +102,26 @@ def test_census_equals_literal_pair_count(instance, side):
     relation = "ab=0&ba=0" if side == "twosided" else "ab=0"
     assert (annihilator_histogram(K, G, side).weighted_sum()
             == pair_count_naive(K, G, relation))
+
+
+# --- the bit-sliced kernel against the int64 reference, on slice windows --
+
+BITSLICED_FIELDS = ("F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:16", "F:32")
+BITSLICED_GROUPS = tuple(f"C:{n}" for n in range(1, 9)) + ("S3", "Q8", "C2xC2",
+                                                           "S3xC:2")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(BITSLICED_FIELDS), st.sampled_from(BITSLICED_GROUPS),
+       st.sampled_from(SIDES), st.data())
+def test_bitsliced_ranks_equal_int64_ranks(coeff, group, side, data):
+    # any window [lo, hi) of the slice, of at most 300 elements, so that
+    # its ends fall anywhere on the 64-lane grid
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    n = G.order
+    lo = data.draw(st.integers(0, K.size ** (n - 1) - 1))
+    hi = data.draw(st.integers(lo + 1, min(K.size ** (n - 1), lo + 300)))
+    P = _ann_gather_indices(G.table, side)
+    X = _census_rows(K, n, lo, hi, True)
+    assert np.array_equal(_bitsliced_ranks(K, X, P),
+                          _batch_ranks(X[:, P].astype(np.int64), K))
