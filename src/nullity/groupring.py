@@ -14,7 +14,9 @@ elimination for every field, reading only a product and x - f*y from
 planes, reading no field arithmetic, for the slice census over F_p
 (p <= 7) and every F_{2^m}, ranked over F_2), and, apart from them, the
 literal products: structure constants over the prime ring and a
-zero-product mask taken by exact float matmuls, which read no rank helper.
+zero-product mask that tests rows against every element by split-half
+product codes, from exact float matmuls and residues, with one exact
+comparison per pair; it reads no rank helper.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -130,7 +132,8 @@ def _decode_elements(size: int, n: int, lo: int, hi: int) -> np.ndarray:
 def _exact_float(D: int, N: int):
     """Float dtype in which :func:`_zero_product_mask` is exact over D
     coordinates mod N: every product sum is an integer of at most
-    D*(N-1)**2, and the zero test rounds S/N and multiplies back by N."""
+    D*(N-1)**2 in absolute value, and its residue (:func:`_residues`) is
+    exact while that plus N stays inside the dtype's integers."""
     bound = D * (N - 1) ** 2 + N
     if bound < 1 << 24:
         return np.float32
@@ -207,27 +210,61 @@ def _one_blas_thread():
         set_(before)
 
 
-def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray,
-                       B: np.ndarray) -> np.ndarray:
-    """Z[r, s] = (a_r * b_s == 0) for coordinate rows A and B (base-N
-    digits, see :func:`_structure_constants`).
+def _residues(S: np.ndarray, N: int) -> np.ndarray:
+    """S mod N in place, for integer-valued floats S with |S| + N inside
+    the dtype's exact integers (below 2**24 in float32, 2**53 in float64).
 
-    Literal products: output coordinate w of a*b is a @ T[:, :, w] @ b
-    mod N, taken as L = (A @ T[:, :, w]) % N in int64 and S = L @ B.T as
-    a float matmul, exact in :func:`_exact_float`'s dtype.  No ranks, no
+    S - N*floor(S/N) is exact there.  With S = k*N + r, 0 <= r < N, the
+    quotient S/N = k + r/N is correctly rounded: it is k when r = 0, and
+    otherwise it stays below k + 1, since the gap (N - r)/N >= 1/N is more
+    than half the float spacing next to k and k + 1, at most
+    max(|k|, |k + 1|) * 2**-p for a p-bit significand, and
+    max(|k|, |k + 1|) * N <= |S| + N < 2**p.  So floor gives k, and k*N
+    and S - k*N are integers inside the exact range."""
+    Q = S / N
+    np.floor(Q, out=Q)
+    Q *= N
+    S -= Q
+    return S
+
+
+def _half_codes(M: np.ndarray, N: int, dt) -> np.ndarray:
+    """codes[r, i] = sum_w c_w * N**w, where c holds the coordinates mod N
+    of sum_v d_v * M[r, v] and d the k base-N digits of i < N**k, for the
+    (rows, k, D) stack M: one matmul of all digit rows against M, the
+    residues, then the fold.  k = 0 leaves the zero vector alone, code 0.
+    Codes are integers below N**D, the number of elements, so float64
+    holds them exactly."""
+    rows, k, D = M.shape
+    digits = _decode_elements(N, k, 0, N**k).astype(dt)
+    C = _residues(digits @ M.transpose(1, 0, 2).reshape(k, rows * D), N)
+    return (C.reshape(-1, rows, D) @ float(N) ** np.arange(D)).T
+
+
+def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray) -> np.ndarray:
+    """Z[r, e] = (a_r * b_e == 0) for coordinate rows A (base-N digits, see
+    :func:`_structure_constants`) against every element index e, in order.
+
+    Literal products, split in half: b -> a*b is linear over Z/N, so with
+    h = D // 2 and e = lo + N**h * hi, b_e = b_lo + b_hi over the low and
+    high h and D - h coordinates, and a*b_e = 0 exactly when a*b_lo and
+    -a*b_hi agree mod N.  M = (A @ T) mod N holds in row v the coordinates
+    of a*e_v; the N**h low and N**(D - h) high halves each take one float
+    matmul of their digits against M's rows, and each coordinate vector
+    mod N folds into one code (:func:`_half_codes`).  Every pair then gets
+    one exact comparison of codes.  All sums are integers of at most
+    D*(N-1)**2 and exact in :func:`_exact_float`'s dtype.  No ranks, no
     kernels.
     """
     D = T.shape[0]
-    Bt = B.T.astype(_exact_float(D, N))
-    blocks = (((A @ T[:, :, w]) % N).astype(Bt.dtype) @ Bt for w in range(D))
-    zero = np.ones((A.shape[0], B.shape[0]), dtype=bool)
+    dt = _exact_float(D, N)
+    h = D // 2
     with _one_blas_thread():
-        for S in blocks:
-            Q = S / N
-            np.rint(Q, out=Q)
-            Q *= N
-            zero &= Q == S
-    return zero
+        M = _residues(A.astype(dt) @ T.reshape(D, D * D).astype(dt), N)
+        M = M.reshape(-1, D, D)
+        lo = _half_codes(M[:, :h], N, dt)
+        hi = _half_codes(-M[:, h:], N, dt)
+    return (hi[:, :, None] == lo[:, None, :]).reshape(A.shape[0], -1)
 
 
 def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
@@ -505,12 +542,11 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
         raise CapExceeded(
             f"enumeration over |K|^n = {total} candidates exceeds cap {cap}")
     T, N = _structure_constants(K, G.table)
-    X = _decode_elements(N, T.shape[0], 0, total)
     e = element_index(K, G, x)
-    xr = X[e:e + 1]
+    xr = _decode_elements(N, T.shape[0], e, e + 1)
     zero = np.ones(total, dtype=bool)
     if side in ("left", "twosided"):
-        zero &= _zero_product_mask(T.transpose(1, 0, 2), N, xr, X)[0]
+        zero &= _zero_product_mask(T.transpose(1, 0, 2), N, xr)[0]
     if side in ("right", "twosided"):
-        zero &= _zero_product_mask(T, N, xr, X)[0]
+        zero &= _zero_product_mask(T, N, xr)[0]
     return int(np.count_nonzero(zero))

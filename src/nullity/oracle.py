@@ -10,10 +10,12 @@ Two independent routes are kept deliberately separate:
   size, for group algebras and matrix units alike; method="full" ranks
   every element and is the reference;
 * naive pair counting: the literal product of every ordered pair (a, b),
-  from the algebra's structure constants over its prime ring Z/N, run as
-  exact float matmuls on blocks of rows; no rank, no kernel and none of
-  the census's field tables.  It cross-validates the census and covers
-  Z:n coefficients, where rank is meaningless.
+  from the algebra's structure constants over its prime ring Z/N, on
+  blocks of rows of a: exact float matmuls give the coordinates of a
+  times each low and each high half of b, and a*b = 0 is one exact
+  comparison of their codes; no rank, no kernel and none of the census's
+  field tables.  It cross-validates the census and covers Z:n
+  coefficients, where rank is meaningless.
 
 Both routes read one multiplication table over a basis: table[i, j] is the
 index of b_i * b_j, or n when the product is zero.  A group's Cayley table
@@ -49,8 +51,9 @@ DEFAULT_MAX_PAIRS = 1 << 20
 # spend their time in numpy loops; the int64 kernel takes a quarter, since
 # it holds a (B, R, n) int64 stack and temporaries of that size
 _CHUNK = 1 << 15
-# float entries per product block of the pair counter (256 KiB in float32)
-_PRODUCT_BLOCK = 1 << 16
+# pairs per row block of the pair counter (a 256 KiB boolean block); on
+# 2 vCPUs 2**18 ran the benchmark pair counts faster than 2**16 and 2**20
+_PRODUCT_BLOCK = 1 << 18
 
 CENSUS_METHODS = ("slice", "full")
 
@@ -259,9 +262,9 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
 
 
 def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarray:
-    """Z[a, b] = (a*b == 0) over all element indices, one literal product
-    per ordered pair, from the structure constants over K's prime ring in
-    blocks of rows of a."""
+    """Z[a, b] = (a*b == 0) over all element indices, one literal zero
+    test per ordered pair, from the structure constants over K's prime
+    ring in blocks of rows of a (:func:`_zero_product_mask`)."""
     n = table.shape[0]
     total = K.size**n
     if total * total > max_pairs:
@@ -269,11 +272,11 @@ def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarra
             f"naive count over |K|^n squared = {total * total} pairs "
             f"exceeds max_pairs={max_pairs}")
     T, N = _structure_constants(K, table)
-    X = _decode_elements(N, T.shape[0], 0, total)
     rows = max(1, _PRODUCT_BLOCK // total)
     Z = np.empty((total, total), dtype=bool)
     for lo in range(0, total, rows):
-        Z[lo:lo + rows] = _zero_product_mask(T, N, X[lo:lo + rows], X)
+        hi = min(lo + rows, total)
+        Z[lo:hi] = _zero_product_mask(T, N, _decode_elements(N, T.shape[0], lo, hi))
     return Z
 
 

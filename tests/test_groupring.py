@@ -8,9 +8,9 @@ import pytest
 
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _bitsliced,
-                               _bitsliced_ranks, _decode_elements, _index_digits,
-                               _one_blas_thread, _openblas_threads,
-                               _structure_constants,
+                               _bitsliced_ranks, _decode_elements, _exact_float,
+                               _index_digits, _one_blas_thread, _openblas_threads,
+                               _residues, _structure_constants,
                                _zero_product_mask, annihilator_size,
                                annihilator_size_by_enumeration,
                                element_index, element_vector, gr_multiply,
@@ -295,18 +295,18 @@ def test_rank_route_equals_enumeration_route(side):
     ("F:4", "C2xC2", [(1, 2, 3, 0), (1, 1, 1, 1), (0, 3, 0, 2)]),
 ])
 def test_zero_product_masks_orientation(coeff, group, xs):
-    # A = X, B = x tests a*x = 0, A = x, B = X tests x*a = 0; S3 cases pick
-    # x whose left and right masks differ, so a swap would fail here
+    # the row x against every element tests x*a = 0, and through the
+    # opposite algebra's constants a*x = 0; S3 cases pick x whose left and
+    # right masks differ, so a swap would fail here
     K, G = ring_from_spec(coeff), group_from_spec(group)
     n, total = G.order, ring_size(K, G)
     T, N = _structure_constants(K, G.table)
-    X = _decode_elements(N, T.shape[0], 0, total)
     zero = (0,) * n
     elements = [element_vector(K, G, e) for e in range(total)]
     for x in xs:
-        e = element_index(K, G, x)
-        left = _zero_product_mask(T, N, X, X[e:e + 1])[:, 0]
-        right = _zero_product_mask(T, N, X[e:e + 1], X)[0]
+        xr = _coordinate_rows(K, n, [x])
+        left = _zero_product_mask(T.transpose(1, 0, 2), N, xr)[0]
+        right = _zero_product_mask(T, N, xr)[0]
         assert left.tolist() == [gr_multiply(K, G, a, x) == zero for a in elements]
         assert right.tolist() == [gr_multiply(K, G, x, a) == zero for a in elements]
         if group == "S3":
@@ -319,6 +319,16 @@ def _coordinate_rows(K, n, vectors):
     N = K.characteristic
     digits = [[(c // N**i) % N for c in v for i in range(m)] for v in vectors]
     return np.array(digits, dtype=np.int64).reshape(len(vectors), n * m)
+
+
+def _masks_at(T, N, K, A, B):
+    """Rows of the zero-product mask for the vectors A at the element
+    indices of the vectors B, one row of A at a time, so that a large
+    ring holds a single mask row."""
+    cols = [sum(int(c) * K.size**i for i, c in enumerate(b)) for b in B]
+    n = len(A[0])
+    return np.array([_zero_product_mask(T, N, _coordinate_rows(K, n, [a]))[0, cols]
+                     for a in A])
 
 
 def _random_vectors(K, n, rng, count):
@@ -365,15 +375,30 @@ def test_structure_constant_masks_equal_python_products(coeff, groups):
         n = G.order
         A, B = (_random_vectors(K, n, rng, 14) for _ in range(2))
         T, N = _structure_constants(K, G.table)
-        got = _zero_product_mask(T, N, _coordinate_rows(K, n, A), _coordinate_rows(K, n, B))
+        got = _masks_at(T, N, K, A, B)
         want = [[gr_multiply(K, G, a, b) == (0,) * n for b in B] for a in A]
         assert got.tolist() == want, group
         hits += sum(w and any(a) and any(b) for a, row in zip(A, want) for b, w in zip(B, row))
     assert hits or coeff == "F:3^8"  # zero divisors were drawn; a field has none
     if coeff == "Z:4":  # 2 * 2 = 4 vanishes only mod 4
         T, N = _structure_constants(K, group_from_spec("C:1").table)
-        mask = _zero_product_mask(T, N, np.array([[2], [1]]), np.array([[2]]))
+        mask = _zero_product_mask(T, N, np.array([[2], [1]]))[:, [2]]
         assert mask.tolist() == [[True], [False]]
+
+
+@pytest.mark.parametrize("N", [4093, 4095, 4096])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residues_are_exact_at_the_float32_edge(N, dtype):
+    # D = 1 puts (N-1)**2 + N just below 2**24, the float32 bound; sums of
+    # either sign next to every multiple of N must reduce as Python's %
+    bound = (N - 1) ** 2
+    assert _exact_float(1, N) == np.float32
+    S = [s for k in range(bound // N + 2) for s in (k * N - 1, k * N, k * N + 1)
+         if s <= bound] + [bound]
+    S = [t for s in S for t in (s, -s)]
+    got = _residues(np.array(S, dtype=dtype), N)
+    assert got.dtype == dtype
+    assert got.astype(np.int64).tolist() == [s % N for s in S]
 
 
 def test_literal_products_run_on_one_blas_thread(monkeypatch):
@@ -404,7 +429,7 @@ def test_literal_products_run_on_one_blas_thread(monkeypatch):
     K, G = field(2), cyclic(4)
     T, N = _structure_constants(K, G.table)
     X = _decode_elements(N, T.shape[0], 0, ring_size(K, G))
-    _zero_product_mask(T, N, X, X)
+    _zero_product_mask(T, N, X)
     assert entered == [1] and get() == before
 
 
@@ -426,8 +451,7 @@ def test_matrix_unit_masks_equal_python_matrix_products(coeff, m):
         return out
 
     T, N = _structure_constants(K, _matrix_unit_table(m))
-    got = _zero_product_mask(T, N, _coordinate_rows(K, m * m, A),
-                             _coordinate_rows(K, m * m, B))
+    got = _masks_at(T, N, K, A, B)
     assert got.tolist() == [[not any(product(a, b)) for b in B] for a in A]
 
 

@@ -578,6 +578,23 @@ def test_mod_ring_pair_count_frozen():
     assert pair_count_naive(K, G, "ab=0&ba=0") == 5888
 
 
+@pytest.mark.parametrize("coeff, group, count", [("F:4", "C:5", 6727),
+                                                  ("F:32", "C:2", 3008)])
+def test_benchmark_pair_counts_frozen(coeff, group, count):
+    # frozen from the per-coordinate float-matmul counter the split-half
+    # codes replaced; abelian, so both relations agree
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    for rel in oracle.RELATIONS:
+        assert pair_count_naive(K, G, rel) == count
+
+
+@pytest.mark.parametrize("q, counts", [(4, (1636, 736)), (5, (4705, 1825))])
+def test_m2_pair_counts_frozen(q, counts):
+    # frozen from the per-coordinate float-matmul counter, as above
+    K = ring_from_spec(f"F:{q}")
+    assert tuple(m2_pair_count_naive(K, rel) for rel in oracle.RELATIONS) == counts
+
+
 @pytest.mark.parametrize("n", [4096, 4097])
 def test_pair_count_on_both_sides_of_the_float32_bound(n):
     # D = 1: products reach (n-1)**2 + n, below 2**24 for 4096 only, so
@@ -611,7 +628,8 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
     for name in ("_ann_gather_indices", "_batch_ranks", "_slice_ranks",
-                 "_bitsliced_ranks"):
+                 "_bitsliced_ranks", "_index_digits", "_digit_planes",
+                 "_plane_ranks", "_plane_add", "_lane_counts", "_times_t"):
         monkeypatch.setattr(groupring, name, forbidden)
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want

@@ -1,22 +1,26 @@
 """Property tests: the closed-form engine against the census, the
-census and per-element ranks against literal products, and the
-bit-sliced rank kernel against the int64 one, on drawn instances.
-Derandomized, so every run draws the same examples."""
+census and per-element ranks against literal products, the bit-sliced
+rank kernel against the int64 one, and the literal zero-product mask
+against the Python product loop, on drawn instances.  Derandomized, so
+every run draws the same examples."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullity.coeffring import ring_from_spec
 from nullity.formulas import _histogram_counts, cyclic_components
 from nullity.groupring import (SIDES, _ann_gather_indices, _batch_ranks,
-                               _bitsliced_ranks, annihilator_size,
+                               _bitsliced_ranks, _decode_elements,
+                               _structure_constants, _zero_product_mask,
+                               annihilator_size,
                                annihilator_size_by_enumeration, element_vector,
-                               ring_size)
+                               gr_multiply, ring_size)
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
-from nullity.oracle import _census_rows, annihilator_histogram, pair_count_naive
+from nullity.oracle import (_census_rows, _matrix_unit_table,
+                            annihilator_histogram, pair_count_naive)
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32)
 # the census ranks the |K|^(n-1) elements of the slice x_e = 1
@@ -125,3 +129,60 @@ def test_bitsliced_ranks_equal_int64_ranks(coeff, group, side, data):
     X = _census_rows(K, n, lo, hi, True)
     assert np.array_equal(_bitsliced_ranks(K, X, P),
                           _batch_ranks(X[:, P].astype(np.int64), K))
+
+
+# --- the literal zero-product mask against the Python product loop -------
+
+MASK_RINGS = ("F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:9", "F:3^8",
+              "Z:4", "Z:6", "Z:9")
+MASK_TABLES = tuple(f"C:{n}" for n in range(1, 7)) + ("S3", "Q8", "C2xC2", "M2")
+# each mask row is checked against all |K|^n products, n*n steps each
+MAX_LOOP_STEPS = 1 << 15
+
+
+def _basis_table(spec):
+    return _matrix_unit_table(2) if spec == "M2" else group_from_spec(spec).table
+
+
+def _loop_steps(coeff, table):
+    n = _basis_table(table).shape[0]
+    return ring_from_spec(coeff).size ** n * n * n
+
+
+MASK_INSTANCES = [(r, t) for r in MASK_RINGS for t in MASK_TABLES
+                  if _loop_steps(r, t) <= MAX_LOOP_STEPS]
+
+
+def _loop_product(K, table, a, b):
+    """a*b in Python: gr_multiply on a group, the row-major matrix
+    product on the 2x2 matrix units."""
+    if table != "M2":
+        return gr_multiply(K, group_from_spec(table), a, b)
+    return tuple(K.add(K.mul(a[2 * i], b[j]), K.mul(a[2 * i + 1], b[2 + j]))
+                 for i in range(2) for j in range(2))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(MASK_INSTANCES),
+       st.lists(st.integers(0, 1 << 40), min_size=1, max_size=3))
+@example(("Z:9", "C:1"), [5, 3, 0])  # D = 1: the low half is empty
+@example(("F:8", "C:1"), [6, 1])  # odd D = 3
+@example(("F:2", "C:5"), [7, 31])  # odd D = 5
+@example(("Z:6", "C2xC2"), [300, 1215])  # even D = 4 over Z/6
+@example(("F:4", "M2"), [17, 200, 255])  # even D = 8 on matrix units
+def test_zero_product_mask_equals_product_loop(instance, picks):
+    coeff, table = instance
+    K = ring_from_spec(coeff)
+    basis = _basis_table(table)
+    n = basis.shape[0]
+    T, N = _structure_constants(K, basis)
+    total = K.size ** n
+    rows = [p % total for p in picks]
+    Z = _zero_product_mask(T, N, np.vstack([_decode_elements(N, T.shape[0], e, e + 1)
+                                            for e in rows]))
+    assert Z.shape == (len(rows), total)
+    zero = (0,) * n
+    elements = [tuple(int(c) for c in v) for v in _decode_elements(K.size, n, 0, total)]
+    for e, got in zip(rows, Z):
+        a = elements[e]
+        assert got.tolist() == [_loop_product(K, table, a, b) == zero for b in elements]
