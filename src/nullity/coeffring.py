@@ -14,16 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 PRIME_FIELD = "prime-field"
 EXTENSION_FIELD = "extension-field"
 MOD_N = "mod-n"
 
 DEFAULT_MAX_RING_SIZE = 1 << 22
 MAX_EXTENSION_DEGREE = 8
-# largest extension field for which dense op tables are materialized
-_TABLE_LIMIT = 1 << 11
 
 
 class NotInvertibleError(ValueError):
@@ -132,8 +128,8 @@ def lex_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class _ModArrayOps:
-    """Vectorized products on arrays of indices, residue arithmetic; exact
-    in int64 while n*n is."""
+    """Vectorized products on arrays of residues mod n; exact in int64
+    while n*n is."""
 
     def __init__(self, n: int):
         self.n = n
@@ -143,35 +139,6 @@ class _ModArrayOps:
 
     def submul(self, x, f, y):
         return (x - f * y) % self.n
-
-
-class _TableArrayOps:
-    """Vectorized products on arrays of indices, dense-table arithmetic."""
-
-    def __init__(self, add, mul, neg):
-        self._add = add
-        self._mul = mul
-        self._neg = neg
-
-    def mul(self, x, y):
-        return self._mul[x, y]
-
-    def submul(self, x, f, y):
-        return self._add[x, self._neg[self._mul[f, y]]]
-
-
-def _elementwise(op, nin: int):
-    ufunc = np.frompyfunc(op, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=np.int64)
-
-
-class _ScalarArrayOps:
-    """Vectorized products on arrays of indices, element by element through
-    the scalar arithmetic; for extension fields too large for dense tables."""
-
-    def __init__(self, K: "CoeffRing"):
-        self.mul = _elementwise(K.mul, 2)
-        self.submul = _elementwise(lambda x, f, y: K.sub(x, K.mul(f, y)), 3)
 
 
 class CoeffRing:
@@ -204,7 +171,6 @@ class CoeffRing:
             den = list(modulus_poly) + [1]
             rems = (_poly_rem([0] * k + [1], den, p) for k in range(2 * m - 1))
             self._tpow = [tuple(r + [0] * (m - len(r))) for r in rems]
-        self._tables = None
         self._array_ops = None
 
     def __repr__(self) -> str:
@@ -297,57 +263,18 @@ class CoeffRing:
         return self.encode(_poly_inv(list(self.decode(a)), [*self.modulus_poly, 1],
                                      self.p))
 
-    # --- dense tables and array ops -----------------------------------
-
-    def _build_tables(self):
-        q, p, m = self.size, self.p, self.m
-        if q > _TABLE_LIMIT:
-            raise ValueError(
-                f"dense op tables for {self.spec} need {q}x{q} entries; "
-                f"limit is {_TABLE_LIMIT}x{_TABLE_LIMIT}")
-        weights = (p ** np.arange(m)).astype(np.int64)
-        digits = (np.arange(q)[:, None] // weights) % p
-        add = np.zeros((q, q), dtype=np.int64)
-        for i in range(m):
-            add += (digits[:, None, i] + digits[None, :, i]) % p * weights[i]
-        neg = ((-digits) % p) @ weights
-        # t*x: p*x mod q has the digits of x shifted up one place; then fold
-        # t**m = -(a0 + a1 t + ... + a_{m-1} t**(m-1)) back in
-        shifted = digits[np.arange(q) * p % q]
-        times_t = ((shifted - digits[:, -1:] * self.modulus_poly) % p) @ weights
-        scaled = (np.arange(p)[:, None, None] * digits) % p @ weights  # c*x, c in F_p
-        # a*b = sum_i a_i (t**i b)
-        mul = np.zeros((q, q), dtype=np.int64)
-        tib = np.arange(q)
-        for i in range(m):
-            mul = add[mul, scaled[digits[:, i, None], tib]]
-            tib = times_t[tib]
-        return add, mul, neg
-
-    def tables(self):
-        """(add, mul, neg) dense numpy tables; extension fields only."""
-        if self.kind != EXTENSION_FIELD:
-            raise ValueError(f"{self.spec} uses residue arithmetic, not tables")
-        if self._tables is None:
-            self._tables = self._build_tables()
-        return self._tables
+    # --- array ops ----------------------------------------------------
 
     def array_ops(self):
-        """The two operations the int64 rank kernel reads, on numpy index
-        arrays: mul(x, y) = x*y and submul(x, f, y) = x - f*y.
-
-        F:p and Z:n use residue arithmetic; extension fields use dense
-        tables up to q = _TABLE_LIMIT and the scalar arithmetic element by
-        element above it.  Inverses are not among them: the kernel takes
-        its pivot inverses as Fermat powers through mul.
+        """The two operations the int64 rank kernel reads, on numpy arrays
+        of residues: mul(x, y) = x*y and submul(x, f, y) = x - f*y, mod
+        the characteristic for every ring.  An extension field F:p^m is
+        ranked over F_p (see :func:`nullity.groupring._batch_ranks`), so no
+        operation here acts in F_{p^m}.  Inverses are not among them: the
+        kernel takes its pivot inverses as Fermat powers through mul.
         """
         if self._array_ops is None:
-            if self.kind != EXTENSION_FIELD:
-                self._array_ops = _ModArrayOps(self.characteristic)
-            elif self.size > _TABLE_LIMIT:
-                self._array_ops = _ScalarArrayOps(self)
-            else:
-                self._array_ops = _TableArrayOps(*self.tables())
+            self._array_ops = _ModArrayOps(self.characteristic)
         return self._array_ops
 
 

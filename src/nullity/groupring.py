@@ -8,15 +8,18 @@ the group position (see :func:`element_vector`).
 
 This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
-the gather index, element decoding, the two rank kernels (int64
-elimination for every field, reading only a product and x - f*y from
-``K.array_ops()``, and a bit-sliced kernel, 64 elements a word in binary
-planes, reading no field arithmetic, for the slice census over F_p
-(p <= 7) and every F_{2^m}, ranked over F_2), and, apart from them, the
-literal products: structure constants over the prime ring and a
-zero-product mask that tests rows against every element by split-half
-product codes, from exact float matmuls and residues, with one exact
-comparison per pair; it reads no rank helper.
+the gather index, element decoding, the two rank kernels, and, apart from
+them, the literal products.  Both kernels rank a matrix over F_{p^m} as
+its restriction of scalars to F_p, each entry an m x m block built by
+multiplication by t from the modulus, and do no arithmetic in F_{p^m}:
+int64 elimination mod p, reading only a product and x - f*y from
+``K.array_ops()``, for p > 7 and :func:`matrix_rank`, and a bit-sliced
+kernel, 64 elements a word in binary planes, reading no field arithmetic,
+for every census over a field of characteristic p <= 7.  The literal
+products are structure constants over the prime ring and a zero-product
+mask that tests rows against every element by split-half product codes,
+from exact float matmuls and residues, with one exact comparison per
+pair; it reads no rank helper.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -281,10 +284,10 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
     return np.array([*x, 0], dtype=np.int64)[P]
 
 
-def _field_inverse(ops, x: np.ndarray, q: int) -> np.ndarray:
-    """x**(q-2), the inverse of each nonzero x in F_q (Fermat), by
-    square-and-multiply through ops.mul; 1 for q = 2."""
-    inv, e = np.ones_like(x), q - 2
+def _field_inverse(ops, x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2), the inverse of each nonzero x in F_p (Fermat), by
+    square-and-multiply through ops.mul; 1 for p = 2."""
+    inv, e = np.ones_like(x), p - 2
     while e:
         if e & 1:
             inv = ops.mul(inv, x)
@@ -292,16 +295,40 @@ def _field_inverse(ops, x: np.ndarray, q: int) -> np.ndarray:
     return inv
 
 
+def _restricted(K: CoeffRing, mats: np.ndarray) -> np.ndarray:
+    """The (B, R*m, n*m) matrices over F_p of a (B, R, n) stack over
+    K = F_{p^m} read as F_p-linear maps: block (r, c) holds at (i, s) the
+    t**i digit of mats[r, c] * t**s.  Each power of t comes from the last
+    by a digit shift and a fold of t**m = -(a_0 + ... + a_{m-1} t**(m-1))
+    from the modulus."""
+    p, m = K.p, K.m
+    B, R, n = mats.shape
+    d = mats[..., None] // p ** np.arange(m) % p
+    blocks = [d]
+    for _ in range(1, m):
+        top = d[..., -1:]
+        d = np.concatenate([np.zeros_like(top), d[..., :-1]], axis=-1)
+        d = (d - top * np.array(K.modulus_poly)) % p
+        blocks.append(d)
+    W = np.stack(blocks, axis=-1)  # (B, R, n, i, s)
+    return W.transpose(0, 1, 3, 2, 4).reshape(B, R * m, n * m)
+
+
 def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
-    """Ranks over the field K of a (B, nrows, ncols) stack by in-place
-    elimination, with the pivot rule of :func:`_plane_ranks`: per column
-    the pivot row (the first with a nonzero entry) is scaled to lead 1 and
-    e_r * pivot is subtracted from every row r, the pivot row included, so
-    the rank goes up by one whenever any row had the column.  Only mul and
-    submul of ``K.array_ops()`` are read: the scale is the Fermat inverse
-    of the lead, a lead of 0 (no pivot) taken as 1.  This int64 kernel
-    serves every field and is the reference.
+    """Ranks over the field K of a (B, nrows, ncols) stack of element
+    indices by elimination in residue arithmetic mod p, with the pivot
+    rule of :func:`_plane_ranks`: per column the pivot row (the first with
+    a nonzero entry) is scaled to lead 1 and e_r * pivot is subtracted
+    from every row r, the pivot row included, so the rank goes up by one
+    whenever any row had the column.  Only mul and submul of
+    ``K.array_ops()`` are read: the scale is the Fermat inverse of the
+    lead, a lead of 0 (no pivot) taken as 1.  F_{p^m} is ranked over F_p
+    (:func:`_restricted`), m times its rank over K; F_p, m = 1, is ranked
+    in place.  This int64 kernel serves census chunks with p > 7 (see
+    :func:`_bitsliced`) and :func:`matrix_rank`, and is the reference.
     """
+    if K.m > 1:
+        mats = _restricted(K, mats)
     ops = K.array_ops()
     B, _, ncols = mats.shape
     b = np.arange(B)
@@ -310,59 +337,62 @@ def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
         e = mats[:, :, col]
         first = np.argmax(e != 0, axis=1)
         lead = e[b, first]
-        scale = _field_inverse(ops, np.where(lead != 0, lead, 1), K.size)
+        scale = _field_inverse(ops, np.where(lead != 0, lead, 1), K.p)
         pivot = ops.mul(mats[b, first, col:], scale[:, None])
         mats[:, :, col:] = ops.submul(mats[:, :, col:], e[:, :, None], pivot[:, None, :])
         rank += lead != 0
-    return rank
+    return rank // K.m
 
 
 def _bitsliced(K: CoeffRing) -> bool:
-    """Whether the slice census ranks over K on bit-sliced planes: every
-    field of characteristic 2 (F_{2^m} over F_2) and F_p with p <= 7.
-    Larger primes and odd extension fields stay on :func:`_batch_ranks`;
-    over F_3 the small slices of F:3^m ranked several times slower
-    bit-sliced than on dense tables."""
-    return K.p == 2 or (K.m == 1 and K.p <= 7)
+    """Whether census chunks over K rank on bit-sliced planes: every field
+    of characteristic p <= 7, F_p and each F_{p^m} over F_p.  Larger
+    characteristics rank on :func:`_batch_ranks`."""
+    return K.p <= 7
 
 
-def _index_digits(K: CoeffRing, n: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, n) uint8 base-|K| digits of lo..hi-1 over a bit-sliced
-    field K (see :func:`_bitsliced`).  Over F_{2^m} digit j is bits m*j to
-    m*j + m - 1 of the index, unpacked from its bytes; over F_p the digits
-    are read k at a time from a table of the p**k <= 4096 k-digit numbers.
-    Either way only a few divisions run per element."""
-    B = hi - lo
-    if K.p == 2:
-        m = K.m
-        e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
-        bits = np.unpackbits(e, axis=1, count=n * m, bitorder="little").reshape(B, n, m)
-        digits = bits[:, :, 0]
-        for i in range(1, m):
-            digits |= bits[:, :, i] << i
-        return digits
-    q, k = K.size, 1
-    while q ** (k + 1) <= 4096:
+@functools.cache
+def _digit_table(p: int) -> np.ndarray:
+    """(p**k, k) uint8, the k base-p digits of each number below
+    p**k <= 4096; built once per p and read-only."""
+    k = 1
+    while p ** (k + 1) <= 4096:
         k += 1
-    table = _decode_elements(q, k, 0, q**k).astype(np.uint8)
+    table = _decode_elements(p, k, 0, p**k).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _index_digits(p: int, D: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, D) uint8 base-p digits of lo..hi-1, p <= 7.  For p = 2
+    they are the index bits, unpacked from its bytes; otherwise they are
+    read k at a time from :func:`_digit_table`.  Either way only a few
+    divisions run per element."""
+    B = hi - lo
+    if p == 2:
+        e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
+        return np.unpackbits(e, axis=1, count=D, bitorder="little")
+    table = _digit_table(p)
+    k = table.shape[1]
     e = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((B, n), dtype=np.uint8)
-    for j in range(0, n, k):
-        e, low = np.divmod(e, q**k)
-        digits[:, j:j + k] = np.take(table, low, axis=0)[:, :n - j]
+    digits = np.empty((B, D), dtype=np.uint8)
+    for j in range(0, D, k):
+        e, low = np.divmod(e, p**k)
+        digits[:, j:j + k] = np.take(table, low, axis=0)[:, :D - j]
     return digits
 
 
 def _digit_planes(X: np.ndarray, w: int) -> np.ndarray:
-    """(ncoef, w, L) uint64 planes of the (B, ncoef) digits X, L = ceil(B/64):
-    bit l of word k of plane b of coefficient j is bit b of X[64k + l, j].
+    """(..., w, L) uint64 planes of the (B, ...) digits X, L = ceil(B/64):
+    bit l of word k of plane b at position j is bit b of X[64k + l, j].
     The B rows are padded to 64L with the zero element."""
-    B, ncoef = X.shape
+    B = X.shape[0]
     L = -(-B // 64)
-    D = np.zeros((ncoef, 1, 64 * L), dtype=np.uint8)
-    D[:, 0, :B] = X.T
+    D = np.zeros((X[0].size, 1, 64 * L), dtype=np.uint8)
+    D[:, 0, :B] = X.reshape(B, -1).T
     bits = (D >> np.arange(w, dtype=np.uint8)[:, None]) & 1
-    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    planes = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    return planes.reshape(X.shape[1:] + (w, L))
 
 
 def _lane_counts(words: np.ndarray) -> np.ndarray:
@@ -371,23 +401,41 @@ def _lane_counts(words: np.ndarray) -> np.ndarray:
     return bits.sum(axis=0, dtype=np.int64)
 
 
-def _times_t(A: np.ndarray, modulus) -> np.ndarray:
-    """Planes of t*x over F_{2^m} from the (.., m, L) planes of x: the
-    coefficients shift up one place and t**m = sum modulus[i] t**i folds
-    the top one back in."""
-    out = np.roll(A, 1, axis=-2)
-    top = A[..., -1, :]
-    out[..., 0, :] = 0
-    for i, a in enumerate(modulus):
-        if a:
-            out[..., i, :] ^= top
+def _times_t(A: np.ndarray, K: CoeffRing) -> np.ndarray:
+    """Planes of t*x over F_{p^m}, p <= 7, from the (ncoef, m, w, L)
+    planes of x: the coordinates shift up one place and
+    t**m = -(a_0 + ... + a_{m-1} t**(m-1)) folds the top one back in,
+    -a_i times it added at place i."""
+    p = K.p
+    out = np.zeros_like(A)
+    out[:, 1:] = A[:, :-1]
+    top = A[:, -1]
+    mult = [None, top]  # c * top for c = 1, 2, ...
+    for i, a in enumerate(K.modulus_poly):
+        c = -a % p
+        while len(mult) <= c:
+            mult.append(_plane_add(p, mult[-1], top))
+        if c:
+            _plane_add(p, out[:, i], mult[c], out=out[:, i])
     return out
 
 
 def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """x + y over F_p (p odd) on planes along axis 1, a value stored as its
-    w binary digits: a ripple-carry sum s in w + 1 bits, then 2**w - p
-    added mod 2**w wherever s >= p.  out may be x."""
+    """x + y over F_p on planes along axis 1, a value stored as its w
+    binary digits.  Over F_2 that is XOR.  Over F_3, with planes
+    [v = 1] and [v = 2], it is seven boolean operations (Kawahara, Aoki
+    and Takagi, Pairing 2008).  Otherwise it is a ripple-carry sum s in
+    w + 1 bits, then 2**w - p added mod 2**w wherever s >= p.  out may
+    be x."""
+    if p == 2:
+        return np.bitwise_xor(x, y, out=out)
+    if p == 3:
+        x1, x2, y1, y2 = x[:, 0], x[:, 1], y[:, 0], y[:, 1]
+        t = (x1 | y2) ^ (x2 | y1)
+        ones, twos = (x2 | y2) ^ t, (x1 | y1) ^ t
+        out = np.empty_like(x) if out is None else out
+        out[:, 0], out[:, 1] = ones, twos
+        return out
     w = x.shape[1]
     s, carry = [], None
     for b in range(w):
@@ -468,35 +516,41 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
     return _lane_counts(pivots)
 
 
-def _bitsliced_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Ranks of the gathered stack X[:, P] over K (see :func:`_bitsliced`),
-    one element per bit lane: the planes of X's digits are gathered by P.
+def _bitsliced_ranks(K: CoeffRing, A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Per-lane ranks over K (see :func:`_bitsliced`) of the stack gathered
+    by P from A, the (ncoef, m, w, L) planes of each coefficient's
+    coordinates over F_p (:func:`_digit_planes`), one element per bit lane.
 
-    F_{2^m} is ranked over F_2: multiplication by x is an nm x nm matrix
-    over F_2 whose (r, c) block holds bit i of x_P[r, c] * t**s at (i, s),
-    built by multiplication by t from the modulus, and its rank is m times
-    the rank over F_{2^m}."""
-    B = X.shape[0]
+    Every field is ranked over its prime field: multiplication by x is an
+    nm x nm matrix over F_p whose (r, c) block holds the t**i coordinate of
+    x_P[r, c] * t**s at (i, s), built by multiplication by t from the
+    modulus (:func:`_times_t`), and its rank is m times the rank over K.
+    F_p is the case m = 1."""
     R, n = P.shape
-    p, m = K.p, K.m
-    if p == 2:
-        planes = [_digit_planes(X, m)]
-        for _ in range(1, m):
-            planes.append(_times_t(planes[-1], K.modulus_poly))
-        W = np.stack(planes, axis=1)[P.T]  # (n, R, s, i, L)
-        W = W.transpose(0, 2, 1, 3, 4).reshape(n * m, 1, R * m, -1)
-        return _plane_ranks(W, 2)[:B] // m
-    W = _digit_planes(X, (p - 1).bit_length())[P.T]  # (n, R, w, L)
-    return _plane_ranks(np.ascontiguousarray(W.transpose(0, 2, 1, 3)), p)[:B]
+    m = K.m
+    planes = [A]
+    for _ in range(1, m):
+        planes.append(_times_t(planes[-1], K))
+    W = np.stack(planes, axis=1)[P.T]  # (n, R, s, i, w, L)
+    w, L = A.shape[2:]
+    W = W.transpose(0, 2, 4, 1, 3, 5).reshape(n * m, w, R * m, L)
+    return _plane_ranks(W, K.p) // m
 
 
-def _slice_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Ranks of the gathered stack X[:, P] over the field K: bit-sliced
-    where :func:`_bitsliced` picks it from the field, else by
-    :func:`_batch_ranks`."""
-    if _bitsliced(K):
-        return _bitsliced_ranks(K, X, P)
-    return _batch_ranks(X[:, P], K)
+def _chunk_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, supports) of the census rows X: the rank over the field K
+    of each gathered matrix X[:, P], and the number of nonzero
+    coefficients of each row.  The field alone picks the kernel
+    (:func:`_bitsliced`).  On bit-sliced planes X holds the uint8
+    coordinates over F_p, (B, ncoef, m), and a coefficient is in the
+    support wherever any of its planes has the lane; otherwise X holds
+    int64 element indices, (B, ncoef), for :func:`_batch_ranks`."""
+    if not _bitsliced(K):
+        return _batch_ranks(X[:, P], K), np.count_nonzero(X, axis=1)
+    B = X.shape[0]
+    A = _digit_planes(X, (K.p - 1).bit_length())
+    support = _lane_counts(np.bitwise_or.reduce(A, axis=(1, 2)))
+    return _bitsliced_ranks(K, A, P)[:B], support[:B]
 
 
 def matrix_rank(K: CoeffRing, rows) -> int:

@@ -8,14 +8,13 @@ Two independent routes are kept deliberately separate:
   {x : x_0 = 1} on basis element 0 (the identity of a group, E_00 of a
   matrix ring) is ranked and each slice element is weighted by its orbit
   size, for group algebras and matrix units alike; method="full" ranks
-  every element and is the reference;
+  every element on the same kernel and is the reference for the weights;
 * naive pair counting: the literal product of every ordered pair (a, b),
   from the algebra's structure constants over its prime ring Z/N, on
   blocks of rows of a: exact float matmuls give the coordinates of a
   times each low and each high half of b, and a*b = 0 is one exact
-  comparison of their codes; no rank, no kernel and none of the census's
-  field tables.  It cross-validates the census and covers Z:n
-  coefficients, where rank is meaningless.
+  comparison of their codes; no rank and no kernel.  It cross-validates
+  the census and covers Z:n coefficients, where rank is meaningless.
 
 Both routes read one multiplication table over a basis: table[i, j] is the
 index of b_i * b_j, or n when the product is zero.  A group's Cayley table
@@ -39,17 +38,18 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffring import CoeffRing
-from .groupring import (CapExceeded, _ann_gather_indices, _batch_ranks,
-                        _bitsliced, _check_side, _decode_elements,
-                        _index_digits, _is_int, _slice_ranks,
-                        _structure_constants, _zero_product_mask, ring_size)
+from .groupring import (CapExceeded, _ann_gather_indices, _bitsliced,
+                        _check_side, _chunk_ranks, _decode_elements,
+                        _index_digits, _is_int, _structure_constants,
+                        _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
 DEFAULT_MAX_PAIRS = 1 << 20
 # elements per bit-sliced census chunk, enough that two worker threads
 # spend their time in numpy loops; the int64 kernel takes a quarter, since
-# it holds a (B, R, n) int64 stack and temporaries of that size
+# it holds a (B, R*m, n*m) int64 stack over F_p and temporaries of that
+# size (q**n <= max_elements keeps n*m small for p > 7)
 _CHUNK = 1 << 15
 # pairs per row block of the pair counter (a 256 KiB boolean block); on
 # 2 vCPUs 2**18 ran the benchmark pair counts faster than 2**16 and 2**20
@@ -92,19 +92,21 @@ class AnnihilatorHistogram:
 def _census_rows(K: CoeffRing, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
     """Coefficient rows of elements lo..hi plus a zero column for the
     gather sentinel: all of the algebra, or the slice x_e = 1 whose index
-    j holds (1, base-|K| digits of j).  Slice rows for the bit-sliced
-    kernel are uint8 digits from :func:`_index_digits`."""
-    if not sliced:
-        X = np.zeros((hi - lo, n + 1), dtype=np.int64)
-        X[:, :n] = _decode_elements(K.size, n, lo, hi)
-        return X
+    j holds (1, base-|K| digits of j).  For the bit-sliced kernel
+    (:func:`_bitsliced`) a coefficient is its m coordinates over F_p,
+    uint8, which are the base-p digits of its index; otherwise it is the
+    int64 index itself."""
+    k = n - 1 if sliced else n
     if _bitsliced(K):
-        X = np.zeros((hi - lo, n + 1), dtype=np.uint8)
-        X[:, 1:n] = _index_digits(K, n - 1, lo, hi)
+        X = np.zeros((hi - lo, n + 1, K.m), dtype=np.uint8)
+        X[:, n - k:n] = _index_digits(K.p, k * K.m, lo, hi).reshape(hi - lo, k, K.m)
+        if sliced:
+            X[:, 0, 0] = 1
     else:
         X = np.zeros((hi - lo, n + 1), dtype=np.int64)
-        X[:, 1:n] = _decode_elements(K.size, n - 1, lo, hi)
-    X[:, 0] = 1
+        X[:, n - k:n] = _decode_elements(K.size, k, lo, hi)
+        if sliced:
+            X[:, 0] = 1
     return X
 
 
@@ -112,19 +114,12 @@ def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
                   sliced: bool) -> np.ndarray:
     """tab[k, s] = #{x in the chunk : nullity k, support size s}.
 
-    A sliced census ranks through :func:`_slice_ranks`, which picks the
-    kernel from the field: bit-sliced, 64 elements a word in binary
-    planes, over F_p (p <= 7) and every F_{2^m} (over F_2), else int64;
-    method="full" gathers the int64 stack X[:, P] for the elimination
-    that stays the reference.
+    Both methods rank through :func:`_chunk_ranks`, which picks the kernel
+    from the field alone: bit-sliced, 64 elements a word in binary planes,
+    over every field of characteristic p <= 7 (over F_p), else int64.
     """
     n = P.shape[1]
-    X = _census_rows(K, n, lo, hi, sliced)
-    if sliced:
-        ranks = _slice_ranks(K, X, P)
-    else:
-        ranks = _batch_ranks(X[:, P], K)
-    support = np.count_nonzero(X, axis=1)
+    ranks, support = _chunk_ranks(K, _census_rows(K, n, lo, hi, sliced), P)
     cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
     return cells.reshape(n + 1, n + 1)
 
@@ -217,13 +212,10 @@ def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
         raise CapExceeded(
             f"census over |K|^n = {total} elements exceeds max_elements={max_elements}")
     work = total // K.size if sliced else total
-    bitsliced = sliced and _bitsliced(K)
-    chunks = -(-work // (_CHUNK if bitsliced else _CHUNK // 4))
+    chunks = -(-work // (_CHUNK if _bitsliced(K) else _CHUNK // 4))
     pool = _pool_size(workers, chunks)
     spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
     P = _ann_gather_indices(table, side)
-    if not bitsliced:
-        K.array_ops()  # the int64 kernel's tables, built once outside the threads
     if pool > 1:
         with ThreadPoolExecutor(max_workers=pool) as ex:
             parts = list(ex.map(lambda s: _census_chunk(K, P, *s, sliced), spans))
@@ -285,8 +277,10 @@ def _pair_count(K: CoeffRing, table: np.ndarray, relation: str,
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
     Z = _zero_products(K, table, max_pairs)
-    if relation == "ab=0&ba=0":
-        Z = Z & Z.T  # Z.T[a, b] is b*a == 0
+    # Z.T[a, b] is b*a == 0; a symmetric table makes the algebra
+    # commutative, so there Z.T is Z
+    if relation == "ab=0&ba=0" and not np.array_equal(table, table.T):
+        Z = Z & Z.T
     return int(np.count_nonzero(Z))
 
 

@@ -195,50 +195,27 @@ def test_inverse_failures_raise():
 
 
 def test_extension_inverse_by_euclid():
-    # two independent inverses: the scalar one is extended Euclid over
-    # F_p[t], the rank kernel's is the Fermat power a**(q-2) through the
-    # array products (dense tables up to _TABLE_LIMIT, scalar ops above)
+    # two independent inverses in the scalar arithmetic: extended Euclid
+    # over F_p[t], and the Fermat power a**(q-2) by square-and-multiply
     for K in (field(2, 2), field(3, 2), field(2, 8), field(3, 6)):
-        a = np.arange(1, K.size)
-        assert _field_inverse(K.array_ops(), a, K.size).tolist() == [
-            K.inv(int(v)) for v in a]
-    K = field(3, 8)  # above the table limit
-    a = np.random.default_rng(38).integers(1, K.size, size=200)
-    assert _field_inverse(K.array_ops(), a, K.size).tolist() == [K.inv(int(v)) for v in a]
+        assert all(K.inv(a) == K.pow(a, K.size - 2) for a in range(1, K.size))
+    K = field(3, 8)
+    for a in random.Random(38).sample(range(1, K.size), 200):
+        assert K.inv(a) == K.pow(a, K.size - 2)
     assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, K.size))
 
 
-def test_tables_agree_with_scalar_route():
-    with pytest.raises(ValueError, match="residue"):
-        field(7).tables()
-    with pytest.raises(ValueError, match="residue"):
-        integers_mod(10).tables()
-    for K in (field(2, 4), field(3, 2), field(2, 3, modulus=(1, 1, 0))):
-        add_t, mul_t, neg_t = K.tables()
-        for a in range(K.size):
-            assert neg_t[a] == K.neg(a)
-            for b in range(K.size):
-                assert add_t[a, b] == K.add(a, b)
-                assert mul_t[a, b] == K.mul(a, b)
-    # F:3^6 (m = 6, the benchmark's table build) and F:43^2 (the largest tabulated q)
-    rng = random.Random(20240611)
-    for K in (field(3, 6), field(43, 2)):
-        add_t, mul_t, neg_t = K.tables()
-        for a in range(K.size):
-            assert neg_t[a] == K.neg(a)
-        for a in rng.sample(range(K.size), 12):
-            assert add_t[a].tolist() == [K.add(a, b) for b in range(K.size)]
-            assert mul_t[a].tolist() == [K.mul(a, b) for b in range(K.size)]
-
-
 def test_array_ops_agree_with_scalar_route():
+    # residue arithmetic mod the characteristic: an extension field's
+    # array ops are those of its prime field, over which it is ranked
     rng = np.random.default_rng(7)
-    for K in (field(7), field(2, 3), field(3, 8), integers_mod(12)):
+    for K, F in ((field(7), field(7)), (field(2, 3), field(2)),
+                 (field(3, 8), field(3)), (integers_mod(12), integers_mod(12))):
         ops = K.array_ops()
-        x, f, y = rng.integers(0, K.size, size=(3, 200))
-        assert all(int(v) == K.mul(int(a), int(b))
+        x, f, y = rng.integers(0, F.size, size=(3, 200))
+        assert all(int(v) == F.mul(int(a), int(b))
                    for v, a, b in zip(ops.mul(x, y), x, y))
-        assert all(int(v) == K.sub(int(a), K.mul(int(c), int(b)))
+        assert all(int(v) == F.sub(int(a), F.mul(int(c), int(b)))
                    for v, a, c, b in zip(ops.submul(x, f, y), x, f, y))
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _bitsliced,
-                               _bitsliced_ranks, _decode_elements, _exact_float,
-                               _index_digits, _one_blas_thread, _openblas_threads,
+                               _bitsliced_ranks, _decode_elements, _digit_planes,
+                               _exact_float, _index_digits, _one_blas_thread,
+                               _plane_add,
+                               _openblas_threads,
                                _residues, _structure_constants,
                                _zero_product_mask, annihilator_size,
                                annihilator_size_by_enumeration,
@@ -143,24 +145,36 @@ def _reference_rank(K, rows) -> int:
     return rank
 
 
+def _scalar_op(op, q, x, y):
+    """op(x, y) entry by entry through a scalar ring operation on elements
+    of a ring of size q, called once per distinct pair of operands."""
+    key = x * q + y
+    pairs, where = np.unique(key.ravel(), return_inverse=True)
+    values = np.array([op(int(v) // q, int(v) % q) for v in pairs], dtype=np.int64)
+    return values[where].reshape(key.shape)
+
+
 def _random_stack(K, rng, batch, nrows, n):
     """(batch, nrows, n) matrices over K of every rank from 0 to n: -A @ C
-    with only the first k columns of A kept has rank <= k."""
-    ops = K.array_ops()
+    with only the first k columns of A kept has rank <= k, its products
+    and differences taken in the scalar arithmetic K.mul and K.sub."""
     keep = np.arange(n) < rng.integers(0, n + 1, size=(batch, 1, 1))
     A = np.where(keep, rng.integers(0, K.size, size=(batch, nrows, n)), 0)
     C = rng.integers(0, K.size, size=(batch, n, n))
     mats = np.zeros((batch, nrows, n), dtype=np.int64)
     for j in range(n):
-        mats = ops.submul(mats, A[:, :, j, None], C[:, None, j, :])
+        prod = _scalar_op(K.mul, K.size, A[:, :, j, None], C[:, None, j, :])
+        mats = _scalar_op(K.sub, K.size, mats, prod)
     return mats
 
 
 @pytest.mark.parametrize("spec,n,batch", [
-    ("F:3", 8, 128), ("F:7", 6, 128), ("F:4", 6, 96), ("F:9", 5, 96), ("F:3^8", 4, 32)])
+    ("F:3", 8, 128), ("F:7", 6, 128), ("F:4", 6, 96), ("F:9", 5, 96), ("F:3^8", 4, 32),
+    ("F:121", 4, 48)])
 def test_batch_ranks_equal_reference_elimination(spec, n, batch):
-    # mod, table and scalar ops; each stack mixes zero, rank-deficient and
-    # full-rank matrices, so a column has a pivot in some entries only
+    # residue arithmetic mod p, extension fields restricted to F_p; each
+    # stack mixes zero, rank-deficient and full-rank matrices, so a column
+    # has a pivot in some entries only
     K = ring_from_spec(spec)
     rng = np.random.default_rng(20261018 + n)
     for nrows in (n, 2 * n):
@@ -171,12 +185,14 @@ def test_batch_ranks_equal_reference_elimination(spec, n, batch):
 
 
 def _lane_ranks_of(mats, K):
-    """The bit-sliced kernel on a (B, R, n) stack: with X the stack
-    flattened per entry and P[r, j] = r*n + j, the gather X[:, P] is the
-    stack itself."""
+    """The bit-sliced kernel on a (B, R, n) stack: with X the coordinates
+    over F_p (the base-p digits of each entry) flattened per entry and
+    P[r, j] = r*n + j, the gather X[:, P] is the stack itself."""
     B, R, n = mats.shape
     assert _bitsliced(K), f"{K.spec} is not bit-sliced"
-    return _bitsliced_ranks(K, mats.reshape(B, -1), np.arange(R * n).reshape(R, n))
+    X = _decode_elements(K.p, K.m, 0, K.size).astype(np.uint8)[mats.reshape(B, -1)]
+    A = _digit_planes(X, (K.p - 1).bit_length())
+    return _bitsliced_ranks(K, A, np.arange(R * n).reshape(R, n))[:B]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
@@ -209,35 +225,58 @@ def test_packed_gf2_ranks_use_the_top_bit():
         assert _lane_ranks_of(mats, ring_from_spec(spec)).tolist() == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_add_equals_residue_sum(p):
+    # every pair of residues, on planes 70 lanes wide, into a new array
+    # and in place (out = x)
+    w = (p - 1).bit_length()
+    x, y = (v.ravel().astype(np.uint8) for v in np.mgrid[0:p, 0:p])
+    x, y = np.tile(x, 70)[:, None], np.tile(y, 70)[:, None]
+    want = _digit_planes(((x.astype(np.int64) + y) % p).astype(np.uint8), w)
+    X, Y = _digit_planes(x, w), _digit_planes(y, w)
+    assert np.array_equal(_plane_add(p, X, Y), want)
+    _plane_add(p, X, Y, out=X)
+    assert np.array_equal(X, want)
+
+
 def test_bitsliced_kernel_covers_char2_and_small_primes():
-    # the field alone picks the kernel: every F_{2^m}, and F_p for p <= 7
+    # the field alone picks the kernel: every field of characteristic
+    # p <= 7, ranked over F_p
     assert all(_bitsliced(field(2, m)) for m in range(1, 9))
-    assert all(_bitsliced(field(p)) for p in (3, 5, 7))
-    # larger primes and odd extension fields stay on int64
-    assert not any(_bitsliced(K) for K in (field(11), field(127), field(3, 2),
-                                          field(3, 8), field(5, 2), field(7, 2)))
+    assert all(_bitsliced(field(p, m)) for p in (3, 5, 7) for m in (1, 2))
+    assert all(_bitsliced(K) for K in (field(3, 6), field(3, 8), field(5, 3)))
+    # larger characteristics stay on int64, extension fields included
+    assert not any(_bitsliced(K) for K in (field(11), field(127), field(11, 2),
+                                          field(43, 2), field(2039, 2)))
 
 
-@pytest.mark.parametrize("spec", ["F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:256"])
+@pytest.mark.parametrize("spec", ["F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:9",
+                                  "F:256", "F:3^6"])
 def test_index_digits_equal_decoded_digits(spec):
-    # index bits over F_{2^m} and k-digit table reads over F_p, against the
-    # base-q division (exact while q**n < 2**63); windows start and end
-    # anywhere, past a table's span
+    # index bits over F_2 and k-digit table reads over odd F_p: the n*m
+    # base-p digits of an index are the coordinates (K.decode) of its n
+    # base-q digits, from the base-q division (exact while q**n < 2**63);
+    # windows start and end anywhere, past a table's span
     K = ring_from_spec(spec)
     for n, lo, hi in ((0, 0, 3), (1, 0, 2), (4, 3, 200), (6, 1000, 1300), (7, 4095, 4200)):
         hi = min(hi, K.size ** n)
         lo = min(lo, hi - 1)
-        got = _index_digits(K, n, lo, hi)
+        got = _index_digits(K.p, n * K.m, lo, hi)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, _decode_elements(K.size, n, lo, hi))
+        want = [[K.decode(int(d)) for d in row]
+                for row in _decode_elements(K.size, n, lo, hi)]
+        assert got.reshape(hi - lo, n, K.m).tolist() == [[list(c) for c in row]
+                                                        for row in want]
 
 
 # each field at a small n and at a large one (F:4 at n = 32 and F:8 at
 # n = 21 are 64- and 63-column matrices over F_2), F:32 and F:256 past
-# the old four-bit lanes
+# the old four-bit lanes, and odd extension fields ranked over F_3, F_5
+# and F_7 (F:3^8 at n = 3 is 24 columns over F_3)
 LANE_CASES = [("F:3", 3), ("F:3", 16), ("F:5", 2), ("F:5", 16), ("F:7", 3), ("F:7", 16),
               ("F:4", 3), ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16),
-              ("F:32", 3), ("F:256", 2)]
+              ("F:32", 3), ("F:256", 2), ("F:9", 3), ("F:9", 8), ("F:25", 3),
+              ("F:27", 4), ("F:49", 3), ("F:3^6", 2), ("F:3^8", 3)]
 
 
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
@@ -258,7 +297,7 @@ def test_lane_ranks_equal_int64_ranks(spec, n):
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
 def test_lane_ranks_read_no_field_arithmetic(spec, n, monkeypatch):
     # the kernel takes its pivot steps from the pivot multiples it builds
-    # by addition, and F_{2^m} from the modulus alone, so it needs no
+    # by addition, and F_{p^m} from the modulus alone, so it needs no
     # product, no inverse and no table of the field
     K = ring_from_spec(spec)
     mats = _random_stack(K, np.random.default_rng(20261021 + n), 48, 2 * n, n)
@@ -268,7 +307,6 @@ def test_lane_ranks_read_no_field_arithmetic(spec, n, monkeypatch):
         raise AssertionError("the bit-sliced kernel read the field's arithmetic")
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
-    monkeypatch.setattr(CoeffRing, "tables", forbidden)
     monkeypatch.setattr(K, "_tpow", None)
     assert _lane_ranks_of(mats, K).tolist() == want
 
@@ -281,8 +319,9 @@ def test_rank_route_equals_enumeration_route(side):
         by_rank = annihilator_size(K, G, x, side)
         by_enum = annihilator_size_by_enumeration(K, G, x, side)
         assert by_rank == by_enum
-    # F:3^8 has no dense tables: the rank route runs on scalar field
-    # arithmetic, the literal route on the structure constants over F_3
+    # F:3^8: the rank route ranks x's 8x8 matrix over F_3, built by
+    # multiplication by t, the literal route reads the structure constants
+    # over F_3, built from the powers of t
     K, G = field(3, 8), cyclic(1)
     for x in ((0,), (5,)):
         assert (annihilator_size(K, G, x, side)

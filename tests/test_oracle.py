@@ -11,8 +11,8 @@ import pytest
 from nullity import groupring, oracle
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.formulas import cyclic_histogram_counts
-from nullity.groupring import (CapExceeded, _batch_ranks, _digit_planes,
-                               _slice_ranks, ring_size)
+from nullity.groupring import (CapExceeded, _batch_ranks, _chunk_ranks,
+                               _digit_planes, ring_size)
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
 from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_pair_count_naive,
@@ -182,14 +182,20 @@ def test_packed_f2_census_equals_full_census(group):
         assert annihilator_histogram(field(2), G, side).counts == full.counts
 
 
+def _element_indices(K, X):
+    """Element indices of coordinate rows over F_p: the coordinates of a
+    coefficient are the base-p digits of its index."""
+    return X.astype(np.int64) @ K.p ** np.arange(K.m)
+
+
 def test_packed_f2_chunk_equals_int64_chunk():
     # 8193 = 64 * 128 + 1 elements of the F:2 Q8xC:2 twosided slice gather:
     # 128 whole words and one lane of the next
     P = _ann_gather_indices(group_from_spec("Q8xC:2").table, "twosided")
     X = oracle._census_rows(field(2), 16, 0, 8193, True)
-    mats = X[:, P].astype(np.int64)
+    mats = _element_indices(field(2), X[:, P])
     assert mats.shape == (8193, 32, 16)
-    assert np.array_equal(_slice_ranks(field(2), X, P),
+    assert np.array_equal(_chunk_ranks(field(2), X, P)[0],
                           _batch_ranks(mats, field(2)))
 
 
@@ -199,7 +205,8 @@ LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
                      ("F:8", "C:3", "left"), ("F:16", "C:2", "right"),
                      ("F:32", "C:2", "left"), ("F:32", "C:3", "twosided"),
                      ("F:64", "C:2", "twosided"), ("F:64", "C:3", "left"),
-                     ("F:256", "C:2", "right")]
+                     ("F:256", "C:2", "right"), ("F:9", "S3", "twosided"),
+                     ("F:27", "C:2", "left"), ("F:25", "C:2", "right")]
 
 
 @pytest.mark.parametrize("coeff,group,side", LANE_CENSUS_CASES,
@@ -208,6 +215,13 @@ def test_lane_census_equals_full_census(coeff, group, side):
     K, G = ring_from_spec(coeff), group_from_spec(group)
     full = annihilator_histogram(K, G, side, method="full")
     assert annihilator_histogram(K, G, side).counts == full.counts
+    # both methods rank on one kernel, so one slice chunk of up to 1000
+    # elements is checked against the int64 elimination as well
+    n = G.order
+    P = _ann_gather_indices(G.table, side)
+    X = oracle._census_rows(K, n, 0, min(K.size ** (n - 1), 1000), True)
+    assert np.array_equal(_chunk_ranks(K, X, P)[0],
+                          _batch_ranks(_element_indices(K, X[:, P]), K))
 
 
 @pytest.mark.parametrize("side", ["left", "twosided"])
@@ -221,25 +235,28 @@ def test_f256_c3_census_equals_cyclic_closed_form(side):
 
 @pytest.mark.parametrize("coeff,group,side", [
     ("F:2", "Q8xC:2", "twosided"), ("F:3", "S3", "left"), ("F:7", "C:4", "right"),
-    ("F:5", "C:2", "twosided"), ("F:8", "C:3", "left"), ("F:16", "C:2", "right")])
+    ("F:5", "C:2", "twosided"), ("F:8", "C:3", "left"), ("F:16", "C:2", "right"),
+    ("F:9", "C:3", "left"), ("F:49", "C:2", "twosided")])
 def test_rows_packed_at_the_gather_equal_the_packed_stack(coeff, group, side):
-    # the kernel gathers the digit planes by P; packing the int64 stack
-    # X[:, P] lane by lane gives the same words, the tail lanes zero
+    # the kernel gathers the planes of each coordinate by P; packing the
+    # coordinate stack X[:, P] lane by lane gives the same words, the tail
+    # lanes zero
     K, G = ring_from_spec(coeff), group_from_spec(group)
     n = G.order
-    w = K.m if K.p == 2 else (K.p - 1).bit_length()
+    w = (K.p - 1).bit_length()
     P = _ann_gather_indices(G.table, side)
     work = K.size ** (n - 1)
     lo = 37 % work  # off the 64-lane grid at both ends
     hi = lo + min(1000, work - lo)
     X = oracle._census_rows(K, n, lo, hi, True)
-    mats = X[:, P].astype(np.uint64)
+    mats = X[:, P].astype(np.uint64)  # (B, R, n, m)
     L = -(-(hi - lo) // 64)
-    lanes = np.zeros((64 * L,) + P.shape + (w,), dtype=np.uint64)
+    shape = P.shape + (K.m, w)
+    lanes = np.zeros((64 * L,) + shape, dtype=np.uint64)
     lanes[:hi - lo] = (mats[..., None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
-    lanes <<= (np.arange(64 * L, dtype=np.uint64) % np.uint64(64))[:, None, None, None]
-    words = np.bitwise_or.reduce(lanes.reshape(L, 64, *P.shape, w), axis=1)
-    assert np.array_equal(_digit_planes(X, w)[P], words.transpose(1, 2, 3, 0))
+    lanes <<= (np.arange(64 * L, dtype=np.uint64) % np.uint64(64))[:, None, None, None, None]
+    words = np.bitwise_or.reduce(lanes.reshape(L, 64, *shape), axis=1)
+    assert np.array_equal(_digit_planes(X, w)[P], words.transpose(1, 2, 3, 4, 0))
 
 
 TAIL_CASES = [("F:2", "S3", "twosided"), ("F:3", "C:2", "left"),
@@ -268,34 +285,53 @@ def test_chunk_of_64k_plus_one_elements_equals_int64_ranks(coeff, group, side):
     K, G = ring_from_spec(coeff), group_from_spec(group)
     P = _ann_gather_indices(G.table, side)
     X = oracle._census_rows(K, G.order, 5, 5 + 129, True)
-    assert np.array_equal(_slice_ranks(K, X, P),
-                          _batch_ranks(X[:, P].astype(np.int64), K))
+    assert np.array_equal(_chunk_ranks(K, X, P)[0],
+                          _batch_ranks(_element_indices(K, X[:, P]), K))
 
 
 def test_char2_slice_census_reads_no_field_table(monkeypatch):
-    # F_{2^m} is ranked over F_2 through multiplication by t folded by the
-    # modulus: no structure constants, dense tables, array ops or powers of t
-    cases = [("F:4", "S3", "twosided"), ("F:8", "C:3", "left"),
-             ("F:32", "C:3", "right")]
-    want = [annihilator_histogram(ring_from_spec(c), group_from_spec(g), side,
-                                  method="full").counts for c, g, side in cases]
+    # every field of characteristic p <= 7 is ranked over F_p through
+    # multiplication by t folded by the modulus, by either method: no
+    # structure constants, array ops or powers of t.  Histograms are the
+    # cyclic closed forms or frozen from a census that ranked over F_q
+    cases = [("F:4", "S3", "twosided", [2160, 1440, 405, 75, 12, 3, 1]),
+             ("F:9", "S3", "twosided", [419904, 93312, 16848, 1296, 64, 16, 1]),
+             ("F:8", "C:3", "left", cyclic_histogram_counts(8, 3)),
+             ("F:32", "C:3", "right", cyclic_histogram_counts(32, 3)),
+             ("F:27", "C:2", "left", cyclic_histogram_counts(27, 2)),
+             ("F:25", "C:2", "right", cyclic_histogram_counts(25, 2)),
+             ("F:3^8", "C:1", "left", [6560, 1])]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the bit-sliced census read a field table")
 
     monkeypatch.setattr(groupring, "_structure_constants", forbidden)
-    monkeypatch.setattr(CoeffRing, "tables", forbidden)
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
-    for (coeff, group, side), counts in zip(cases, want):
+    for coeff, group, side, counts in cases:
         K = ring_from_spec(coeff)
         K._tpow = None
-        assert annihilator_histogram(K, group_from_spec(group), side).counts == counts
+        for method in oracle.CENSUS_METHODS:
+            hist = annihilator_histogram(K, group_from_spec(group), side, method=method)
+            assert hist.counts == counts
 
 
 def test_census_over_large_extension_field():
-    # F:3^8 has no dense tables; the census runs on scalar arithmetic
+    # F:3^8 is ranked as 8x8 matrices over F_3
     hist = annihilator_histogram(field(3, 8), cyclic(1))
     assert hist.counts == [6560, 1]
+
+
+def test_census_over_extension_field_builds_no_table():
+    # F:43^2 (p > 7) is ranked as 2x2 blocks over F_43 on int64: no table
+    # of the field's q = 1849 elements, let alone q x q
+    tracemalloc.start()
+    try:
+        hist = annihilator_histogram(field(43, 2), cyclic(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.counts == cyclic_histogram_counts(1849, 2)
+    assert peak < 4 << 20
 
 
 def test_census_over_large_prime_field_builds_no_inverse_table():
@@ -524,17 +560,13 @@ def test_matrix_census_ranks_only_the_slice(q, side, monkeypatch):
     # a silent fall-back to the full census would still give the right
     # histogram, so count the rows ranked: q**3 slice elements, not q**4
     ranked = []
-    slice_ranks = oracle._slice_ranks
+    chunk_ranks = oracle._chunk_ranks
 
     def spy(K, X, P):
         ranked.append(X.shape[0])
-        return slice_ranks(K, X, P)
+        return chunk_ranks(K, X, P)
 
-    def full_stack(*args):
-        raise AssertionError("the matrix census ranked the full stack")
-
-    monkeypatch.setattr(oracle, "_slice_ranks", spy)
-    monkeypatch.setattr(oracle, "_batch_ranks", full_stack)
+    monkeypatch.setattr(oracle, "_chunk_ranks", spy)
     K = field(q)
     hist = m2_annihilator_histogram(K, side)
     assert sum(ranked) == q**3
@@ -549,6 +581,20 @@ def test_table_gather_matches_group_inverse_form(group):
     assert np.array_equal(_ann_gather_indices(t, "right"), t[:, inv])
     assert np.array_equal(_ann_gather_indices(t, "twosided"),
                           np.vstack([t[inv].T, t[:, inv]]))
+
+
+@pytest.mark.parametrize("coeff", ["F:2", "F:3"])
+@pytest.mark.parametrize("group,symmetric", [("C:4", True), ("C2xC2", True),
+                                             ("S3", False)])
+def test_twosided_count_skips_the_and_on_symmetric_tables(coeff, group, symmetric):
+    # a commutative algebra has ab = 0 iff ba = 0, so its twosided count
+    # is the one-sided count; S3's table is not symmetric and keeps the AND
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    assert np.array_equal(G.table, G.table.T) == symmetric
+    Z = _zero_products(K, G.table, 1 << 20)
+    twosided = _pair_count(K, G.table, "ab=0&ba=0", 1 << 20)
+    assert twosided == np.count_nonzero(Z & Z.T)
+    assert (twosided == _pair_count(K, G.table, "ab=0", 1 << 20)) == symmetric
 
 
 def test_twosided_pair_count_equals_brute_double_loop():
@@ -627,7 +673,7 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
         raise AssertionError("the literal route read a census helper")
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
-    for name in ("_ann_gather_indices", "_batch_ranks", "_slice_ranks",
+    for name in ("_ann_gather_indices", "_batch_ranks", "_restricted", "_chunk_ranks",
                  "_bitsliced_ranks", "_index_digits", "_digit_planes",
                  "_plane_ranks", "_plane_add", "_lane_counts", "_times_t"):
         monkeypatch.setattr(groupring, name, forbidden)

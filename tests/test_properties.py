@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nullity.coeffring import ring_from_spec
 from nullity.formulas import _histogram_counts, cyclic_components
 from nullity.groupring import (SIDES, _ann_gather_indices, _batch_ranks,
-                               _bitsliced_ranks, _decode_elements,
+                               _chunk_ranks, _decode_elements,
                                _structure_constants, _zero_product_mask,
                                annihilator_size,
                                annihilator_size_by_enumeration, element_vector,
@@ -110,7 +110,8 @@ def test_census_equals_literal_pair_count(instance, side):
 
 # --- the bit-sliced kernel against the int64 reference, on slice windows --
 
-BITSLICED_FIELDS = ("F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:16", "F:32")
+BITSLICED_FIELDS = ("F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:9", "F:16", "F:25",
+                    "F:27", "F:32", "F:49")
 BITSLICED_GROUPS = tuple(f"C:{n}" for n in range(1, 9)) + ("S3", "Q8", "C2xC2",
                                                            "S3xC:2")
 
@@ -127,8 +128,8 @@ def test_bitsliced_ranks_equal_int64_ranks(coeff, group, side, data):
     hi = data.draw(st.integers(lo + 1, min(K.size ** (n - 1), lo + 300)))
     P = _ann_gather_indices(G.table, side)
     X = _census_rows(K, n, lo, hi, True)
-    assert np.array_equal(_bitsliced_ranks(K, X, P),
-                          _batch_ranks(X[:, P].astype(np.int64), K))
+    indices = X[:, P].astype(np.int64) @ K.p ** np.arange(K.m)
+    assert np.array_equal(_chunk_ranks(K, X, P)[0], _batch_ranks(indices, K))
 
 
 # --- the literal zero-product mask against the Python product loop -------
