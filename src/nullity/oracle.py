@@ -40,8 +40,8 @@ import numpy as np
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _bitsliced,
                         _check_side, _chunk_ranks, _decode_elements,
-                        _index_digits, _is_int, _structure_constants,
-                        _zero_product_mask, ring_size)
+                        _index_digits, _is_int, _keep_freed_memory,
+                        _structure_constants, _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
@@ -216,6 +216,7 @@ def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
     pool = _pool_size(workers, chunks)
     spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
     P = _ann_gather_indices(table, side)
+    _keep_freed_memory()
     if pool > 1:
         with ThreadPoolExecutor(max_workers=pool) as ex:
             parts = list(ex.map(lambda s: _census_chunk(K, P, *s, sliced), spans))
