@@ -15,11 +15,16 @@ multiplication by t from the modulus, and do no arithmetic in F_{p^m}:
 int64 elimination mod p, reading only a product and x - f*y from
 ``K.array_ops()``, for p > 7 and :func:`matrix_rank`, and a bit-sliced
 kernel, 64 elements a word in binary planes, reading no field arithmetic,
-for every census over a field of characteristic p <= 7.  The literal
-products are structure constants over the prime ring and a zero-product
-mask that tests rows against every element by split-half product codes,
-from exact float matmuls and residues, with one exact comparison per
-pair; it reads no rank helper.
+for every census over a field of characteristic p <= 7.  Over odd p the
+bit-sliced kernel takes each pivot's multiples by plane doublings, a
+permutation of the planes or a few boolean operations in the binary
+encoding (Boothby and Bradshaw, arXiv:0901.1413), and every row's
+multiplier mask in one broadcast, so a column runs one plane addition on
+its rows and at most one on the pivot row.  The literal products are
+structure constants over the prime ring and a zero-product mask that
+tests rows against every element by split-half product codes, from exact
+float matmuls and residues, with one exact comparison per pair; it reads
+no rank helper.
 
 Side convention: the LEFT annihilator Ann_l(x) = {a : a*x = 0} is the
 kernel of the right-multiplication map v -> v*x, so side="left" sizes are
@@ -371,35 +376,31 @@ def _bitsliced(K: CoeffRing) -> bool:
     return K.p <= 7
 
 
-@functools.cache
-def _digit_table(p: int) -> np.ndarray:
-    """(p**k, k) uint8, the k base-p digits of each number below
-    p**k <= 4096; built once per p and read-only."""
-    k = 1
-    while p ** (k + 1) <= 4096:
-        k += 1
-    table = _decode_elements(p, k, 0, p**k).astype(np.uint8)
-    table.flags.writeable = False
-    return table
-
-
 def _index_digits(p: int, D: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, D) uint8 base-p digits of lo..hi-1, p <= 7.  For p = 2
-    they are the index bits, unpacked from its bytes; otherwise they are
-    read k at a time from :func:`_digit_table`.  Either way only a few
-    divisions run per element."""
+    they are the index bits, unpacked from its bytes; otherwise digit j
+    runs through the values lo // p**j .. (hi - 1) // p**j mod p, each
+    held for p**j consecutive indices: one ``np.repeat`` of those runs,
+    read from one cycle 0, 1, ..., p-1, 0, ... and trimmed to the window,
+    or one or two fills once a run spans it.  No division runs per
+    element."""
     B = hi - lo
     if p == 2:
         e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
         return np.unpackbits(e, axis=1, count=D, bitorder="little")
-    table = _digit_table(p)
-    k = table.shape[1]
-    e = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((B, D), dtype=np.uint8)
-    for j in range(0, D, k):
-        e, low = np.divmod(e, p**k)
-        digits[:, j:j + k] = np.take(table, low, axis=0)[:, :D - j]
-    return digits
+    digits = np.empty((D, B), dtype=np.uint8)
+    cycle = np.tile(np.arange(p, dtype=np.uint8), B // p + 2)
+    for j in range(D):
+        s = p**j
+        first = lo // s
+        if s < B:
+            runs = cycle[first % p:][:(hi - 1) // s + 1 - first]
+            digits[j] = np.repeat(runs, s)[lo - first * s:][:B] if s > 1 else runs
+        else:  # one run, or two
+            cut = min((first + 1) * s - lo, B)
+            digits[j, :cut] = first % p
+            digits[j, cut:] = (first + 1) % p
+    return digits.T
 
 
 def _digit_planes(X: np.ndarray, w: int) -> np.ndarray:
@@ -425,19 +426,55 @@ def _times_t(A: np.ndarray, K: CoeffRing) -> np.ndarray:
     """Planes of t*x over F_{p^m}, p <= 7, from the (ncoef, m, w, L)
     planes of x: the coordinates shift up one place and
     t**m = -(a_0 + ... + a_{m-1} t**(m-1)) folds the top one back in,
-    -a_i times it added at place i."""
+    -a_i times it (:func:`_plane_multiples`) added at place i."""
     p = K.p
     out = np.zeros_like(A)
     out[:, 1:] = A[:, :-1]
-    top = A[:, -1]
-    mult = [None, top]  # c * top for c = 1, 2, ...
+    mult = _plane_multiples(p, A[:, -1])
     for i, a in enumerate(K.modulus_poly):
         c = -a % p
-        while len(mult) <= c:
-            mult.append(_plane_add(p, mult[-1], top))
         if c:
-            _plane_add(p, out[:, i], mult[c], out=out[:, i])
+            _plane_add(p, out[:, i], mult[c - 1], out=out[:, i])
     return out
+
+
+def _plane_double(p: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2x over F_p, p = 3, 5 or 7, on planes along axis 1, into out (which
+    must not overlap x).  In the binary encoding doubling is no addition:
+    over F_3 it swaps the planes [v = 1] and [v = 2]; over F_7 it rotates
+    them, 2(b0 + 2b1 + 4b2) = b2 + 2b0 + 4b1 mod 7; over F_5, where 4 is b2
+    alone, it is (b0 & b1) | b2, (b0 & ~b1) | b2 and b1 & ~b0, computed as
+    t = b0 & b1, t | b2, (t | b2) ^ b0 and b1 ^ t."""
+    if p != 5:
+        return np.take(x, (1, 0) if p == 3 else (2, 0, 1), axis=1, out=out)
+    b0, b1, b2 = x[:, 0], x[:, 1], x[:, 2]
+    t = np.bitwise_and(b0, b1, out=out[:, 2])
+    np.bitwise_or(t, b2, out=out[:, 0])
+    np.bitwise_xor(out[:, 0], b0, out=out[:, 1])
+    np.bitwise_xor(t, b1, out=out[:, 2])
+    return out
+
+
+def _plane_multiples(p: int, x: np.ndarray) -> np.ndarray:
+    """(p - 1, ...) planes of a*x over F_p, p <= 7, at index a - 1, from the
+    planes of x (along axis 1) by doubling (:func:`_plane_double`) along
+    1 -> 2 -> 4 -> ...  Over F_3 and F_5 that reaches every a; over F_7 it
+    stops at {1, 2, 4}, and 3x = x + 2x is the one addition, whose
+    doublings are 6x and 5x.  Over F_2 x is its one multiple, not copied."""
+    if p == 2:
+        return x[None]
+    M = np.empty((p - 1,) + x.shape, dtype=x.dtype)
+    M[0] = x
+    a = 1
+    for _ in range(p - 2):
+        b = 2 * a % p
+        if b == 1:  # over F_7, where 2 has order 3
+            b = 3
+            _plane_add(p, x, M[1], out=M[2])
+        else:
+            _plane_double(p, M[a - 1], M[b - 1])
+        a = b
+    return M
 
 
 def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -445,7 +482,8 @@ def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     binary digits.  Over F_2 that is XOR.  Over F_3, with planes
     [v = 1] and [v = 2], it is seven boolean operations (Kawahara, Aoki
     and Takagi, Pairing 2008).  Otherwise it is a ripple-carry sum s in
-    w + 1 bits, then 2**w - p added mod 2**w wherever s >= p.  out may
+    w + 1 bits, then 2**w - p added mod 2**w wherever s >= p, about 25
+    numpy calls; x + x needs none of it (:func:`_plane_double`).  out may
     be x."""
     if p == 2:
         return np.bitwise_xor(x, y, out=out)
@@ -506,11 +544,18 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
     row included, gets e_r - (e_r/lead)*pivot, so the column clears and the
     rank goes up by one in every lane where any row had the column.  Over
     F_2 that is adding the pivot row (XOR) to every row with the bit.
-    Otherwise the multiples a*pivot, a in 1..p-1, are built by repeated
-    addition, and row r adds -a*pivot where a*lead equals e_r, which
-    equality masks pick out per lane, so no field inverse runs."""
+    Otherwise the multiples a*pivot, a in 1..p-1, come from plane doublings
+    (:func:`_plane_multiples`), the masks [e_r = a*lead] for every a and
+    row at once from one broadcast XOR against the leads' multiples, and
+    row r adds -a*pivot = (p-a)*pivot where its mask is set, gathered in
+    one step buffer through one temporary, both allocated once per call,
+    so no field inverse runs and the only plane addition on the rows is
+    the step itself."""
     ncols, w, R, L = W.shape
     pivots = np.empty((ncols, L), dtype=np.uint64)
+    if p > 2:
+        step = np.empty((ncols - 1, w, R, L), dtype=np.uint64)
+        term = np.empty_like(step)
     for c in range(ncols):
         E = W[c]
         nz = np.bitwise_or.reduce(E, axis=0)
@@ -522,17 +567,19 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
             rest = W[c + 1:]
             rest ^= nz & np.bitwise_or.reduce(rest & first, axis=2)[:, :, None, :]
             continue
-        piv = np.bitwise_or.reduce(W[c:] & first, axis=2)
-        mult = [None, piv]
-        for _ in range(2, p):
-            mult.append(_plane_add(p, mult[-1], piv))
-        step = np.zeros_like(W[c + 1:])
-        for a in range(1, p):
-            eq = nz.copy()
-            for b in range(w):
-                eq &= ~(E[b] ^ mult[a][0, b])
-            step |= eq & mult[p - a][1:, :, None, :]
-        _plane_add(p, W[c + 1:], step, out=W[c + 1:])
+        k = ncols - 1 - c
+        if k == 0:
+            break
+        mult = _plane_multiples(p, np.bitwise_or.reduce(W[c:] & first, axis=2))
+        # eq[a - 1] = [e_r = a*lead], every plane of e_r XNOR a*lead; a zero
+        # e_r matches only a lane with no pivot, whose multiples are all zero
+        eq = np.bitwise_and.reduce(E ^ ~mult[:, 0, :, None, :], axis=1)
+        # the masks are disjoint, so the step ORs eq[a - 1] & (p - a)*pivot
+        np.bitwise_and(eq[0, None, None], mult[-1, 1:, :, None, :], out=step[:k])
+        for i in range(1, p - 1):
+            np.bitwise_and(eq[i, None, None], mult[-1 - i, 1:, :, None, :], out=term[:k])
+            np.bitwise_or(step[:k], term[:k], out=step[:k])
+        _plane_add(p, W[c + 1:], step[:k], out=W[c + 1:])
     return _lane_counts(pivots)
 
 

@@ -10,7 +10,7 @@ from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.groupring import (CapExceeded, _batch_ranks, _bitsliced,
                                _bitsliced_ranks, _decode_elements, _digit_planes,
                                _exact_float, _index_digits, _one_blas_thread,
-                               _plane_add,
+                               _plane_add, _plane_double, _plane_multiples,
                                _openblas_threads,
                                _residues, _structure_constants,
                                _zero_product_mask, annihilator_size,
@@ -239,6 +239,35 @@ def test_plane_add_equals_residue_sum(p):
     assert np.array_equal(X, want)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_plane_double_equals_residue_double(p):
+    # every residue, on planes 70 lanes wide
+    w = (p - 1).bit_length()
+    x = np.tile(np.arange(p, dtype=np.uint8), 70)[:, None]
+    want = _digit_planes((2 * x % p).astype(np.uint8), w)
+    X = _digit_planes(x, w)
+    out = np.empty_like(X)
+    assert _plane_double(p, X, out) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_multiples_equal_repeated_addition(p):
+    # a*x, a = 1..p-1, against x added to itself a - 1 times, on random
+    # (3, w, L) planes whose first 40 lanes of each row are zero
+    w = (p - 1).bit_length()
+    x = np.random.default_rng(20261020 + p).integers(0, p, size=(200, 3), dtype=np.uint8)
+    x[:40] = 0
+    X = _digit_planes(x, w)
+    M = _plane_multiples(p, X)
+    assert M.shape == (p - 1,) + X.shape
+    want = X.copy()
+    for a in range(1, p):
+        assert np.array_equal(M[a - 1], want), a
+        want = _plane_add(p, want, X)
+    assert not want.any()  # p*x = 0
+
+
 def test_bitsliced_kernel_covers_char2_and_small_primes():
     # the field alone picks the kernel: every field of characteristic
     # p <= 7, ranked over F_p
@@ -253,10 +282,11 @@ def test_bitsliced_kernel_covers_char2_and_small_primes():
 @pytest.mark.parametrize("spec", ["F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:9",
                                   "F:256", "F:3^6"])
 def test_index_digits_equal_decoded_digits(spec):
-    # index bits over F_2 and k-digit table reads over odd F_p: the n*m
+    # index bits over F_2 and runs of each digit over odd F_p: the n*m
     # base-p digits of an index are the coordinates (K.decode) of its n
     # base-q digits, from the base-q division (exact while q**n < 2**63);
-    # windows start and end anywhere, past a table's span
+    # windows start and end anywhere, inside a run of a high digit (one
+    # run or two) and across many runs of a low one
     K = ring_from_spec(spec)
     for n, lo, hi in ((0, 0, 3), (1, 0, 2), (4, 3, 200), (6, 1000, 1300), (7, 4095, 4200)):
         hi = min(hi, K.size ** n)
@@ -270,10 +300,12 @@ def test_index_digits_equal_decoded_digits(spec):
 
 
 # each field at a small n and at a large one (F:4 at n = 32 and F:8 at
-# n = 21 are 64- and 63-column matrices over F_2), F:32 and F:256 past
+# n = 21 are 64- and 63-column matrices over F_2), odd primes at n = 1
+# too (one column, with nothing to its right to step), F:32 and F:256 past
 # the old four-bit lanes, and odd extension fields ranked over F_3, F_5
 # and F_7 (F:3^8 at n = 3 is 24 columns over F_3)
-LANE_CASES = [("F:3", 3), ("F:3", 16), ("F:5", 2), ("F:5", 16), ("F:7", 3), ("F:7", 16),
+LANE_CASES = [("F:3", 1), ("F:3", 3), ("F:3", 16), ("F:5", 1), ("F:5", 2), ("F:5", 16),
+              ("F:7", 1), ("F:7", 3), ("F:7", 16),
               ("F:4", 3), ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16),
               ("F:32", 3), ("F:256", 2), ("F:9", 3), ("F:9", 8), ("F:25", 3),
               ("F:27", 4), ("F:49", 3), ("F:3^6", 2), ("F:3^8", 3)]
@@ -297,8 +329,8 @@ def test_lane_ranks_equal_int64_ranks(spec, n):
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
 def test_lane_ranks_read_no_field_arithmetic(spec, n, monkeypatch):
     # the kernel takes its pivot steps from the pivot multiples it builds
-    # by addition, and F_{p^m} from the modulus alone, so it needs no
-    # product, no inverse and no table of the field
+    # by plane doubling and addition, and F_{p^m} from the modulus alone,
+    # so it needs no product, no inverse and no table of the field
     K = ring_from_spec(spec)
     mats = _random_stack(K, np.random.default_rng(20261021 + n), 48, 2 * n, n)
     want = _batch_ranks(mats.copy(), K).tolist()

@@ -692,7 +692,8 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
     for name in ("_ann_gather_indices", "_batch_ranks", "_restricted", "_chunk_ranks",
                  "_bitsliced_ranks", "_index_digits", "_digit_planes",
-                 "_plane_ranks", "_plane_add", "_lane_counts", "_times_t"):
+                 "_plane_ranks", "_plane_add", "_plane_double", "_plane_multiples",
+                 "_lane_counts", "_times_t"):
         monkeypatch.setattr(groupring, name, forbidden)
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want
