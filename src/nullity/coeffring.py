@@ -266,12 +266,11 @@ class CoeffRing:
     # --- array ops ----------------------------------------------------
 
     def array_ops(self):
-        """The two operations the int64 rank kernel reads, on numpy arrays
-        of residues: mul(x, y) = x*y and submul(x, f, y) = x - f*y, mod
-        the characteristic for every ring.  An extension field F:p^m is
-        ranked over F_p (see :func:`nullity.groupring._batch_ranks`), so no
-        operation here acts in F_{p^m}.  Inverses are not among them: the
-        kernel takes its pivot inverses as Fermat powers through mul.
+        """Two operations on numpy arrays of residues: mul(x, y) = x*y and
+        submul(x, f, y) = x - f*y, mod the characteristic for every ring,
+        so no operation here acts in F_{p^m}.  The census does not read
+        them: the benchmark times this call, and the tests' int64
+        reference elimination ranks through it.
         """
         if self._array_ops is None:
             self._array_ops = _ModArrayOps(self.characteristic)

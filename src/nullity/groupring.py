@@ -8,19 +8,20 @@ the group position (see :func:`element_vector`).
 
 This module owns the basis table that :mod:`nullity.oracle` reads too:
 table[i, j] is the index of b_i * b_j, or n for a zero product.  On it run
-the gather index, element decoding, the two rank kernels, and, apart from
-them, the literal products.  Both kernels rank a matrix over F_{p^m} as
+the gather index, element decoding, the rank kernel, and, apart from it,
+the literal products.  One bit-sliced kernel, 64 elements a word in binary
+planes of each coordinate over F_p, ranks every census and
+:func:`matrix_rank` over every field.  It ranks a matrix over F_{p^m} as
 its restriction of scalars to F_p, each entry an m x m block built by
-multiplication by t from the modulus, and do no arithmetic in F_{p^m}:
-int64 elimination mod p, reading only a product and x - f*y from
-``K.array_ops()``, for p > 7 and :func:`matrix_rank`, and a bit-sliced
-kernel, 64 elements a word in binary planes, reading no field arithmetic,
-for every census over a field of characteristic p <= 7.  Over odd p the
-bit-sliced kernel takes each pivot's multiples by plane doublings, a
-permutation of the planes or a few boolean operations in the binary
-encoding (Boothby and Bradshaw, arXiv:0901.1413), and every row's
-multiplier mask in one broadcast, so a column runs one plane addition on
-its rows and at most one on the pivot row.  The literal products are
+multiplication by t from the modulus, and reads no field arithmetic.  A
+column step is XOR over F_2.  Over F_3, F_5 and F_7 it takes the pivot's
+multiples by plane doublings, a permutation of the planes or a few boolean
+operations in the binary encoding, and every row's multiplier mask in one
+broadcast, so a column runs one plane addition on its rows.  Over larger p
+it scales the pivot row by the Fermat inverse of each lane's lead and adds
+e_r times it to every row r by double-and-add, e_r's own planes the lane
+masks: w = bit_length(p - 1) plane additions a column whatever p is
+(Boothby and Bradshaw, arXiv:0901.1413).  The literal products are
 structure constants over the prime ring and a zero-product mask that
 tests rows against every element by split-half product codes, from exact
 float matmuls and residues, with one exact comparison per pair; it reads
@@ -309,111 +310,61 @@ def regular_matrix(K: CoeffRing, G: CayleyGroup, x, side: str) -> np.ndarray:
     return np.array([*x, 0], dtype=np.int64)[P]
 
 
-def _field_inverse(ops, x: np.ndarray, p: int) -> np.ndarray:
-    """x**(p-2), the inverse of each nonzero x in F_p (Fermat), by
-    square-and-multiply through ops.mul; 1 for p = 2."""
-    inv, e = np.ones_like(x), p - 2
-    while e:
-        if e & 1:
-            inv = ops.mul(inv, x)
-        x, e = ops.mul(x, x), e >> 1
-    return inv
-
-
-def _restricted(K: CoeffRing, mats: np.ndarray) -> np.ndarray:
-    """The (B, R*m, n*m) matrices over F_p of a (B, R, n) stack over
-    K = F_{p^m} read as F_p-linear maps: block (r, c) holds at (i, s) the
-    t**i digit of mats[r, c] * t**s.  Each power of t comes from the last
-    by a digit shift and a fold of t**m = -(a_0 + ... + a_{m-1} t**(m-1))
-    from the modulus."""
-    p, m = K.p, K.m
-    B, R, n = mats.shape
-    d = mats[..., None] // p ** np.arange(m) % p
-    blocks = [d]
-    for _ in range(1, m):
-        top = d[..., -1:]
-        d = np.concatenate([np.zeros_like(top), d[..., :-1]], axis=-1)
-        d = (d - top * np.array(K.modulus_poly)) % p
-        blocks.append(d)
-    W = np.stack(blocks, axis=-1)  # (B, R, n, i, s)
-    return W.transpose(0, 1, 3, 2, 4).reshape(B, R * m, n * m)
-
-
-def _batch_ranks(mats: np.ndarray, K: CoeffRing) -> np.ndarray:
-    """Ranks over the field K of a (B, nrows, ncols) stack of element
-    indices by elimination in residue arithmetic mod p, with the pivot
-    rule of :func:`_plane_ranks`: per column the pivot row (the first with
-    a nonzero entry) is scaled to lead 1 and e_r * pivot is subtracted
-    from every row r, the pivot row included, so the rank goes up by one
-    whenever any row had the column.  Only mul and submul of
-    ``K.array_ops()`` are read: the scale is the Fermat inverse of the
-    lead, a lead of 0 (no pivot) taken as 1.  F_{p^m} is ranked over F_p
-    (:func:`_restricted`), m times its rank over K; F_p, m = 1, is ranked
-    in place.  This int64 kernel serves census chunks with p > 7 (see
-    :func:`_bitsliced`) and :func:`matrix_rank`, and is the reference.
-    """
-    if K.m > 1:
-        mats = _restricted(K, mats)
-    ops = K.array_ops()
-    B, _, ncols = mats.shape
-    b = np.arange(B)
-    rank = np.zeros(B, dtype=np.int64)
-    for col in range(ncols):
-        e = mats[:, :, col]
-        first = np.argmax(e != 0, axis=1)
-        lead = e[b, first]
-        scale = _field_inverse(ops, np.where(lead != 0, lead, 1), K.p)
-        pivot = ops.mul(mats[b, first, col:], scale[:, None])
-        mats[:, :, col:] = ops.submul(mats[:, :, col:], e[:, :, None], pivot[:, None, :])
-        rank += lead != 0
-    return rank // K.m
-
-
-def _bitsliced(K: CoeffRing) -> bool:
-    """Whether census chunks over K rank on bit-sliced planes: every field
-    of characteristic p <= 7, F_p and each F_{p^m} over F_p.  Larger
-    characteristics rank on :func:`_batch_ranks`."""
-    return K.p <= 7
+def _cycle(p: int, first: int, count: int, dt) -> np.ndarray:
+    """first, first + 1, ... mod p, count values in dtype dt: the tail of
+    the period from first % p, whole periods, and the head of one more,
+    no array longer than count."""
+    head = np.arange(first % p, min(p, first % p + count), dtype=dt)
+    rest = count - head.size
+    return np.concatenate([head, np.tile(np.arange(min(p, rest), dtype=dt), rest // p),
+                           np.arange(rest % p, dtype=dt)])
 
 
 def _index_digits(p: int, D: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, D) uint8 base-p digits of lo..hi-1, p <= 7.  For p = 2
-    they are the index bits, unpacked from its bytes; otherwise digit j
-    runs through the values lo // p**j .. (hi - 1) // p**j mod p, each
-    held for p**j consecutive indices: one ``np.repeat`` of those runs,
-    read from one cycle 0, 1, ..., p-1, 0, ... and trimmed to the window,
-    or one or two fills once a run spans it.  No division runs per
-    element."""
+    """(D, hi - lo) base-p digits of lo..hi-1, digit-major and C-contiguous
+    (packing along a strided axis is several times slower), in the smallest
+    unsigned dtype that holds p - 1.  For p = 2 they are the index bits,
+    unpacked from its bytes; otherwise digit j runs through the values
+    lo // p**j .. (hi - 1) // p**j mod p (:func:`_cycle`), each held for
+    p**j consecutive indices: one ``np.repeat`` of those runs, trimmed to
+    the window, or one or two fills once a run spans it.  No division runs
+    per element, and nothing built grows with p."""
     B = hi - lo
     if p == 2:
         e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
-        return np.unpackbits(e, axis=1, count=D, bitorder="little")
-    digits = np.empty((D, B), dtype=np.uint8)
-    cycle = np.tile(np.arange(p, dtype=np.uint8), B // p + 2)
+        return np.ascontiguousarray(np.unpackbits(e, axis=1, count=D, bitorder="little").T)
+    digits = np.empty((D, B), dtype=np.min_scalar_type(p - 1))
     for j in range(D):
         s = p**j
         first = lo // s
         if s < B:
-            runs = cycle[first % p:][:(hi - 1) // s + 1 - first]
+            runs = _cycle(p, first, (hi - 1) // s + 1 - first, digits.dtype)
             digits[j] = np.repeat(runs, s)[lo - first * s:][:B] if s > 1 else runs
         else:  # one run, or two
             cut = min((first + 1) * s - lo, B)
             digits[j, :cut] = first % p
             digits[j, cut:] = (first + 1) % p
-    return digits.T
+    return digits
 
 
 def _digit_planes(X: np.ndarray, w: int) -> np.ndarray:
-    """(..., w, L) uint64 planes of the (B, ...) digits X, L = ceil(B/64):
-    bit l of word k of plane b at position j is bit b of X[64k + l, j].
-    The B rows are padded to 64L with the zero element."""
-    B = X.shape[0]
+    """(..., w, L) uint64 planes of the nonnegative integers X, (..., B),
+    one per bit lane along the last axis, L = ceil(B/64): bit l of word k
+    of plane b is bit b of X[..., 64k + l].  Lanes past B are zero."""
+    B = X.shape[-1]
     L = -(-B // 64)
-    D = np.zeros((X[0].size, 1, 64 * L), dtype=np.uint8)
-    D[:, 0, :B] = X.reshape(B, -1).T
-    bits = (D >> np.arange(w, dtype=np.uint8)[:, None]) & 1
-    planes = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-    return planes.reshape(X.shape[1:] + (w, L))
+    bits = (X[..., None, :] >> np.arange(w, dtype=X.dtype)[:, None]) & 1
+    bits = bits.astype(np.uint8, copy=False)
+    out = np.zeros(bits.shape[:-1] + (8 * L,), dtype=np.uint8)
+    out[..., :-(-B // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _lane_values(planes: np.ndarray) -> np.ndarray:
+    """(..., 64L) int64 values in the bit lanes of the (..., w, L) planes,
+    the inverse of :func:`_digit_planes`."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")
+    return (1 << np.arange(planes.shape[-2])) @ bits
 
 
 def _lane_counts(words: np.ndarray) -> np.ndarray:
@@ -423,28 +374,32 @@ def _lane_counts(words: np.ndarray) -> np.ndarray:
 
 
 def _times_t(A: np.ndarray, K: CoeffRing) -> np.ndarray:
-    """Planes of t*x over F_{p^m}, p <= 7, from the (ncoef, m, w, L)
-    planes of x: the coordinates shift up one place and
-    t**m = -(a_0 + ... + a_{m-1} t**(m-1)) folds the top one back in,
-    -a_i times it (:func:`_plane_multiples`) added at place i."""
+    """Planes of t*x over F_{p^m} from the (ncoef, m, w, L) planes of x: the
+    coordinates shift up one place and t**m = -(a_0 + ... + a_{m-1}
+    t**(m-1)) folds the top one back in, -a_i times it added at place i
+    (:func:`_plane_axpy`)."""
     p = K.p
     out = np.zeros_like(A)
     out[:, 1:] = A[:, :-1]
-    mult = _plane_multiples(p, A[:, -1])
     for i, a in enumerate(K.modulus_poly):
         c = -a % p
-        if c:
-            _plane_add(p, out[:, i], mult[c - 1], out=out[:, i])
+        _plane_axpy(p, out[:, i], [bool(c >> b & 1) for b in range(c.bit_length())],
+                    A[:, -1])
     return out
 
 
 def _plane_double(p: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2x over F_p, p = 3, 5 or 7, on planes along axis 1, into out (which
-    must not overlap x).  In the binary encoding doubling is no addition:
-    over F_3 it swaps the planes [v = 1] and [v = 2]; over F_7 it rotates
-    them, 2(b0 + 2b1 + 4b2) = b2 + 2b0 + 4b1 mod 7; over F_5, where 4 is b2
+    """2x over odd F_p on planes along axis 1, into out (which must not
+    overlap x).  Over F_3, F_5 and F_7 doubling is no addition: over F_3 it
+    swaps the planes [v = 1] and [v = 2]; over F_7 it rotates them,
+    2(b0 + 2b1 + 4b2) = b2 + 2b0 + 4b1 mod 7; over F_5, where 4 is b2
     alone, it is (b0 & b1) | b2, (b0 & ~b1) | b2 and b1 & ~b0, computed as
-    t = b0 & b1, t | b2, (t | b2) ^ b0 and b1 ^ t."""
+    t = b0 & b1, t | b2, (t | b2) ^ b0 and b1 ^ t.  Above 7 the planes
+    shift up one place, 2x < 2p, and p is subtracted where 2x >= p
+    (:func:`_plane_reduce`)."""
+    if p > 7:
+        s = [np.zeros_like(x[:, 0])] + [x[:, b] for b in range(x.shape[1])]
+        return _plane_reduce(p, s, out)
     if p != 5:
         return np.take(x, (1, 0) if p == 3 else (2, 0, 1), axis=1, out=out)
     b0, b1, b2 = x[:, 0], x[:, 1], x[:, 2]
@@ -460,9 +415,7 @@ def _plane_multiples(p: int, x: np.ndarray) -> np.ndarray:
     planes of x (along axis 1) by doubling (:func:`_plane_double`) along
     1 -> 2 -> 4 -> ...  Over F_3 and F_5 that reaches every a; over F_7 it
     stops at {1, 2, 4}, and 3x = x + 2x is the one addition, whose
-    doublings are 6x and 5x.  Over F_2 x is its one multiple, not copied."""
-    if p == 2:
-        return x[None]
+    doublings are 6x and 5x."""
     M = np.empty((p - 1,) + x.shape, dtype=x.dtype)
     M[0] = x
     a = 1
@@ -482,9 +435,9 @@ def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     binary digits.  Over F_2 that is XOR.  Over F_3, with planes
     [v = 1] and [v = 2], it is seven boolean operations (Kawahara, Aoki
     and Takagi, Pairing 2008).  Otherwise it is a ripple-carry sum s in
-    w + 1 bits, then 2**w - p added mod 2**w wherever s >= p, about 25
-    numpy calls; x + x needs none of it (:func:`_plane_double`).  out may
-    be x."""
+    w + 1 bits, reduced mod p (:func:`_plane_reduce`), about 25 numpy calls
+    at w = 3; x + x needs none of it (:func:`_plane_double`).  out may be
+    x."""
     if p == 2:
         return np.bitwise_xor(x, y, out=out)
     if p == 3:
@@ -494,9 +447,8 @@ def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
         out = np.empty_like(x) if out is None else out
         out[:, 0], out[:, 1] = ones, twos
         return out
-    w = x.shape[1]
     s, carry = [], None
-    for b in range(w):
+    for b in range(x.shape[1]):
         xb, yb = x[:, b], y[:, b]
         t = xb ^ yb
         if carry is None:
@@ -509,13 +461,20 @@ def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
             t = sb
         s.append(t)
     s.append(carry)
+    return _plane_reduce(p, s, np.empty_like(x) if out is None else out)
+
+
+def _plane_reduce(p: int, s: list, out: np.ndarray) -> np.ndarray:
+    """s mod p into the w planes of out (along axis 1), for odd p and the
+    w + 1 bit planes s of values below 2p: 2**w - p is added mod 2**w
+    wherever s >= p.  out must not overlap s[1:]."""
+    w = len(s) - 1
     ge = s[0].copy()  # s >= p on bits 0..b, from the low bit up; p is odd
     for b in range(1, w + 1):
         if (p >> b) & 1:
             ge &= s[b]
         else:
             ge |= s[b]
-    out = np.empty_like(x) if out is None else out
     k, carry = (1 << w) - p, None
     for b in range(w):
         if (k >> b) & 1 and carry is None:
@@ -534,26 +493,62 @@ def _plane_add(p: int, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _plane_axpy(p: int, y: np.ndarray, bits, x: np.ndarray) -> np.ndarray:
+    """y + f*x over F_p on planes along axis 1, into y, by double-and-add
+    (Boothby and Bradshaw, arXiv:0901.1413): f's binary digit b is
+    bits[b], lane masks that broadcast against x's planes, or a bool for an
+    f shared by every lane, and the term 2**b * x comes from doubling x
+    (odd p; over F_2 f has one digit), so a w-bit f costs at most w plane
+    additions, none for an all-zero mask."""
+    for b, mask in enumerate(bits):
+        if b:
+            x = _plane_double(p, x, np.empty_like(x))
+        if mask is True:
+            _plane_add(p, y, x, out=y)
+        elif mask is not False and mask.any():
+            _plane_add(p, y, x & mask, out=y)
+    return y
+
+
+def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p for int64 x in [0, p), p odd: the inverse of every
+    nonzero x (Fermat) and 0 for 0, by square-and-multiply; exact in int64
+    while p*p is."""
+    inv, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            inv = inv * x % p
+        x, e = x * x % p, e >> 1
+    return inv
+
+
 def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p, p <= 7, of the bit-sliced (ncols, w, R, L) stack W,
-    one matrix per bit lane, entry values in w binary planes; W is
+    """Ranks over F_p of the bit-sliced (ncols, w, R, L) stack W, one
+    matrix per bit lane, entry values in w binary planes; W is
     overwritten.
 
     Per column, the first row with a nonzero entry is each lane's pivot
     (``bitwise_or.accumulate`` down the rows), and every row r, the pivot
     row included, gets e_r - (e_r/lead)*pivot, so the column clears and the
     rank goes up by one in every lane where any row had the column.  Over
-    F_2 that is adding the pivot row (XOR) to every row with the bit.
-    Otherwise the multiples a*pivot, a in 1..p-1, come from plane doublings
-    (:func:`_plane_multiples`), the masks [e_r = a*lead] for every a and
-    row at once from one broadcast XOR against the leads' multiples, and
-    row r adds -a*pivot = (p-a)*pivot where its mask is set, gathered in
-    one step buffer through one temporary, both allocated once per call,
-    so no field inverse runs and the only plane addition on the rows is
-    the step itself."""
+    F_2 that is adding the pivot row (XOR) to every row with the bit.  The
+    step for other p is picked from p:
+
+    * p = 3, 5, 7: the multiples a*pivot, a in 1..p-1, come from plane
+      doublings (:func:`_plane_multiples`), the masks [e_r = a*lead] for
+      every a and row at once from one broadcast XOR against the lead's
+      multiples, and row r adds -a*pivot = (p-a)*pivot where its mask is
+      set, gathered in one step buffer through one temporary, both
+      allocated once per call, so the only plane addition on the rows is
+      the step itself;
+    * p > 7: each lane's lead is unpacked to an integer, the pivot row is
+      scaled by -lead**(p-2) (:func:`_fermat_inverse`) by double-and-add
+      on its planes, and every row adds e_r times it the same way, with
+      e_r's own planes as the lane masks (:func:`_plane_axpy`): w plane
+      additions on the rows whatever p is."""
     ncols, w, R, L = W.shape
     pivots = np.empty((ncols, L), dtype=np.uint64)
-    if p > 2:
+    if 2 < p <= 7:
         step = np.empty((ncols - 1, w, R, L), dtype=np.uint64)
         term = np.empty_like(step)
     for c in range(ncols):
@@ -570,6 +565,13 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
         k = ncols - 1 - c
         if k == 0:
             break
+        if p > 7:
+            lead = _lane_values(np.bitwise_or.reduce(E & first, axis=1))
+            scale = _digit_planes(-_fermat_inverse(lead, p) % p, w)
+            pivot = np.bitwise_or.reduce(W[c + 1:] & first, axis=2)
+            pivot = _plane_axpy(p, np.zeros_like(pivot), scale, pivot)
+            _plane_axpy(p, W[c + 1:], E, pivot[:, :, None, :])
+            continue
         mult = _plane_multiples(p, np.bitwise_or.reduce(W[c:] & first, axis=2))
         # eq[a - 1] = [e_r = a*lead], every plane of e_r XNOR a*lead; a zero
         # e_r matches only a lane with no pivot, whose multiples are all zero
@@ -584,9 +586,9 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
 
 
 def _bitsliced_ranks(K: CoeffRing, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Per-lane ranks over K (see :func:`_bitsliced`) of the stack gathered
-    by P from A, the (ncoef, m, w, L) planes of each coefficient's
-    coordinates over F_p (:func:`_digit_planes`), one element per bit lane.
+    """Per-lane ranks over the field K of the stack gathered by P from A,
+    the (ncoef, m, w, L) planes of each coefficient's coordinates over F_p
+    (:func:`_digit_planes`), one element per bit lane.
 
     Every field is ranked over its prime field: multiplication by x is an
     nm x nm matrix over F_p whose (r, c) block holds the t**i coordinate of
@@ -604,30 +606,28 @@ def _bitsliced_ranks(K: CoeffRing, A: np.ndarray, P: np.ndarray) -> np.ndarray:
     return _plane_ranks(W, K.p) // m
 
 
-def _chunk_ranks(K: CoeffRing, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, supports) of the census rows X: the rank over the field K
-    of each gathered matrix X[:, P], and the number of nonzero
-    coefficients of each row.  The field alone picks the kernel
-    (:func:`_bitsliced`).  On bit-sliced planes X holds the uint8
-    coordinates over F_p, (B, ncoef, m), and a coefficient is in the
-    support wherever any of its planes has the lane; otherwise X holds
-    int64 element indices, (B, ncoef), for :func:`_batch_ranks`."""
-    if not _bitsliced(K):
-        return _batch_ranks(X[:, P], K), np.count_nonzero(X, axis=1)
-    B = X.shape[0]
-    A = _digit_planes(X, (K.p - 1).bit_length())
+def _chunk_ranks(K: CoeffRing, A: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, supports) per bit lane of the census planes A, (ncoef, m, w,
+    L) as :func:`nullity.oracle._census_rows` builds them: the rank over
+    the field K of each matrix gathered by P, and the number of nonzero
+    coefficients, a coefficient being in the support wherever any of its
+    planes has the lane."""
     support = _lane_counts(np.bitwise_or.reduce(A, axis=(1, 2)))
-    return _bitsliced_ranks(K, A, P)[:B], support[:B]
+    return _bitsliced_ranks(K, A, P), support
 
 
 def matrix_rank(K: CoeffRing, rows) -> int:
-    """Rank over a field: the batched elimination on a batch of one."""
+    """Rank over a field: the bit-sliced kernel on a batch of one, each
+    entry's m coordinates over F_p the base-p digits of its index."""
     if not K.is_field:
         raise ValueError(f"matrix rank needs field coefficients, got {K.spec}")
     M = np.array(rows, dtype=np.int64)
     if M.size == 0:
         return 0
-    return int(_batch_ranks(M[None], K)[0])
+    R, n = M.shape
+    X = M.reshape(R * n, 1, 1) // K.p ** np.arange(K.m)[:, None] % K.p
+    A = _digit_planes(X, (K.p - 1).bit_length())
+    return int(_bitsliced_ranks(K, A, np.arange(R * n).reshape(R, n))[0])
 
 
 def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,

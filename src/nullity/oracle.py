@@ -21,11 +21,11 @@ index of b_i * b_j, or n when the product is zero.  A group's Cayley table
 and the matrix units of M_m (E_ij E_kl = [j == k] E_il) are both such
 tables, so group algebras and matrix rings share the code.  The table
 helpers (gather index, element decoding, structure constants and the
-literal zero-product mask, rank kernels) live in :mod:`nullity.groupring`.
+literal zero-product mask, rank kernel) live in :mod:`nullity.groupring`.
 
-Chunk boundaries depend only on the amount of work and the rank kernel,
-so histograms are identical for any worker count; partial tables merge
-by componentwise addition.
+Chunk boundaries depend only on the amount of work, so histograms are
+identical for any worker count; partial tables merge by componentwise
+addition.
 """
 
 from __future__ import annotations
@@ -38,18 +38,16 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffring import CoeffRing
-from .groupring import (CapExceeded, _ann_gather_indices, _bitsliced,
-                        _check_side, _chunk_ranks, _decode_elements,
+from .groupring import (CapExceeded, _ann_gather_indices, _check_side,
+                        _chunk_ranks, _decode_elements, _digit_planes,
                         _index_digits, _is_int, _keep_freed_memory,
                         _structure_constants, _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
 DEFAULT_MAX_ELEMENTS = 1 << 22
 DEFAULT_MAX_PAIRS = 1 << 20
-# elements per bit-sliced census chunk, enough that two worker threads
-# spend their time in numpy loops; the int64 kernel takes a quarter, since
-# it holds a (B, R*m, n*m) int64 stack over F_p and temporaries of that
-# size (q**n <= max_elements keeps n*m small for p > 7)
+# elements per census chunk, enough that two worker threads spend their
+# time in numpy loops
 _CHUNK = 1 << 15
 # pairs per row block of the pair counter (a 256 KiB boolean block); on
 # 2 vCPUs 2**18 ran the benchmark pair counts faster than 2**16 and 2**20
@@ -90,37 +88,37 @@ class AnnihilatorHistogram:
 
 
 def _census_rows(K: CoeffRing, n: int, lo: int, hi: int, sliced: bool) -> np.ndarray:
-    """Coefficient rows of elements lo..hi plus a zero column for the
-    gather sentinel: all of the algebra, or the slice x_e = 1 whose index
-    j holds (1, base-|K| digits of j).  For the bit-sliced kernel
-    (:func:`_bitsliced`) a coefficient is its m coordinates over F_p,
-    uint8, which are the base-p digits of its index; otherwise it is the
-    int64 index itself."""
+    """(n + 1, m, w, L) bit-sliced planes of the coefficient rows of
+    elements lo..hi, one element per bit lane, plus a zero column for the
+    gather sentinel: all of the algebra, or the slice x_e = 1 whose index j
+    holds (1, base-|K| digits of j).  A coefficient is its m coordinates
+    over F_p, the base-p digits of its index, packed from the digit-major
+    digits of :func:`_index_digits`; the slice's x_e = 1 is a constant
+    plane (in every lane, the tail past hi - lo included) and the sentinel
+    is zero."""
+    p, m = K.p, K.m
     k = n - 1 if sliced else n
-    if _bitsliced(K):
-        X = np.zeros((hi - lo, n + 1, K.m), dtype=np.uint8)
-        X[:, n - k:n] = _index_digits(K.p, k * K.m, lo, hi).reshape(hi - lo, k, K.m)
-        if sliced:
-            X[:, 0, 0] = 1
-    else:
-        X = np.zeros((hi - lo, n + 1), dtype=np.int64)
-        X[:, n - k:n] = _decode_elements(K.size, k, lo, hi)
-        if sliced:
-            X[:, 0] = 1
-    return X
+    w = (p - 1).bit_length()
+    L = -(-(hi - lo) // 64)
+    A = np.zeros((n + 1, m, w, L), dtype=np.uint64)
+    A[n - k:n] = _digit_planes(_index_digits(p, k * m, lo, hi), w).reshape(k, m, w, L)
+    if sliced:
+        A[0, 0, 0] = ~np.uint64(0)
+    return A
 
 
 def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
                   sliced: bool) -> np.ndarray:
     """tab[k, s] = #{x in the chunk : nullity k, support size s}.
 
-    Both methods rank through :func:`_chunk_ranks`, which picks the kernel
-    from the field alone: bit-sliced, 64 elements a word in binary planes,
-    over every field of characteristic p <= 7 (over F_p), else int64.
+    Both methods rank every field on one kernel, bit-sliced planes over
+    F_p, 64 elements a word (:func:`_chunk_ranks`), whose lanes past the
+    chunk are dropped here.
     """
     n = P.shape[1]
     ranks, support = _chunk_ranks(K, _census_rows(K, n, lo, hi, sliced), P)
-    cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
+    B = hi - lo
+    cells = np.bincount((n - ranks[:B]) * (n + 1) + support[:B], minlength=(n + 1) ** 2)
     return cells.reshape(n + 1, n + 1)
 
 
@@ -212,7 +210,7 @@ def _census(K: CoeffRing, spec: str, table: np.ndarray, side: str, *,
         raise CapExceeded(
             f"census over |K|^n = {total} elements exceeds max_elements={max_elements}")
     work = total // K.size if sliced else total
-    chunks = -(-work // (_CHUNK if _bitsliced(K) else _CHUNK // 4))
+    chunks = -(-work // _CHUNK)
     pool = _pool_size(workers, chunks)
     spans = [(i * work // chunks, (i + 1) * work // chunks) for i in range(chunks)]
     P = _ann_gather_indices(table, side)

@@ -1,16 +1,18 @@
 """Group ring elements, regular representation matrices, annihilator sizes."""
 
 import contextlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
-from nullity.groupring import (CapExceeded, _batch_ranks, _bitsliced,
-                               _bitsliced_ranks, _decode_elements, _digit_planes,
-                               _exact_float, _index_digits, _one_blas_thread,
-                               _plane_add, _plane_double, _plane_multiples,
+from int64_ranks import batch_ranks
+from nullity.groupring import (CapExceeded, _bitsliced_ranks, _decode_elements,
+                               _digit_planes, _exact_float, _index_digits,
+                               _lane_values, _one_blas_thread, _plane_add,
+                               _plane_axpy, _plane_double, _plane_multiples,
                                _openblas_threads,
                                _residues, _structure_constants,
                                _zero_product_mask, annihilator_size,
@@ -127,9 +129,9 @@ def test_matrix_rank_basics():
 
 def _reference_rank(K, rows) -> int:
     """Rank by textbook row reduction (swap, scale, clear below) in the
-    scalar field arithmetic: K.add, K.mul and K.inv only."""
+    scalar field arithmetic: K.add, K.mul, K.neg and K.inv only."""
     rows = [[int(v) for v in row] for row in rows]
-    minus_one = next(c for c in range(K.size) if K.add(1, c) == 0)
+    minus_one = K.neg(1)
     rank = 0
     for col in range(len(rows[0])):
         r = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -168,31 +170,33 @@ def _random_stack(K, rng, batch, nrows, n):
     return mats
 
 
+def _lane_ranks_of(mats, K):
+    """The bit-sliced kernel on a (B, R, n) stack: with X the coordinates
+    over F_p (the base-p digits of each entry) flattened per entry and
+    P[r, j] = r*n + j, the gather X[P] is the stack itself."""
+    B, R, n = mats.shape
+    X = mats.reshape(B, R * n, 1) // K.p ** np.arange(K.m) % K.p
+    A = _digit_planes(X.transpose(1, 2, 0), (K.p - 1).bit_length())
+    return _bitsliced_ranks(K, A, np.arange(R * n).reshape(R, n))[:B]
+
+
 @pytest.mark.parametrize("spec,n,batch", [
     ("F:3", 8, 128), ("F:7", 6, 128), ("F:4", 6, 96), ("F:9", 5, 96), ("F:3^8", 4, 32),
-    ("F:121", 4, 48)])
+    ("F:121", 4, 48), ("F:11", 6, 64), ("F:13", 5, 64), ("F:31", 5, 48),
+    ("F:257", 4, 48), ("F:65537", 3, 32), ("F:4194301", 3, 32), ("F:11^2", 4, 32),
+    ("F:43^2", 3, 32), ("F:2039^2", 2, 16)])
 def test_batch_ranks_equal_reference_elimination(spec, n, batch):
-    # residue arithmetic mod p, extension fields restricted to F_p; each
-    # stack mixes zero, rank-deficient and full-rank matrices, so a column
-    # has a pivot in some entries only
+    # the bit-sliced kernel against textbook elimination in the field's own
+    # scalar arithmetic, every field ranked over F_p; each stack mixes zero,
+    # rank-deficient and full-rank matrices, so a column has a pivot in
+    # some lanes only
     K = ring_from_spec(spec)
     rng = np.random.default_rng(20261018 + n)
     for nrows in (n, 2 * n):
         mats = _random_stack(K, rng, batch, nrows, n)
         want = [_reference_rank(K, m) for m in mats]
         assert {0, n} < set(want)
-        assert _batch_ranks(mats.copy(), K).tolist() == want
-
-
-def _lane_ranks_of(mats, K):
-    """The bit-sliced kernel on a (B, R, n) stack: with X the coordinates
-    over F_p (the base-p digits of each entry) flattened per entry and
-    P[r, j] = r*n + j, the gather X[:, P] is the stack itself."""
-    B, R, n = mats.shape
-    assert _bitsliced(K), f"{K.spec} is not bit-sliced"
-    X = _decode_elements(K.p, K.m, 0, K.size).astype(np.uint8)[mats.reshape(B, -1)]
-    A = _digit_planes(X, (K.p - 1).bit_length())
-    return _bitsliced_ranks(K, A, np.arange(R * n).reshape(R, n))[:B]
+        assert _lane_ranks_of(mats, K).tolist() == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 63, 64])
@@ -203,7 +207,7 @@ def test_packed_gf2_ranks_equal_int64_ranks(n):
         # sparse to dense rows, so that ranks below full occur too
         density = rng.uniform(0.05, 0.95, size=(64, 1, 1))
         mats = (rng.random((64, nrows, n)) < density).astype(np.int64)
-        want = _batch_ranks(mats.copy(), K).tolist()
+        want = batch_ranks(mats.copy(), K).tolist()
         assert _lane_ranks_of(mats, K).tolist() == want
     special = np.stack([np.zeros((n, n), dtype=np.int64),
                         np.eye(n, dtype=np.int64),
@@ -225,30 +229,51 @@ def test_packed_gf2_ranks_use_the_top_bit():
         assert _lane_ranks_of(mats, ring_from_spec(spec)).tolist() == want
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
 def test_plane_add_equals_residue_sum(p):
-    # every pair of residues, on planes 70 lanes wide, into a new array
-    # and in place (out = x)
+    # every pair of residues, 70 times over, on one row of planes, into a
+    # new array and in place (out = x)
     w = (p - 1).bit_length()
-    x, y = (v.ravel().astype(np.uint8) for v in np.mgrid[0:p, 0:p])
-    x, y = np.tile(x, 70)[:, None], np.tile(y, 70)[:, None]
-    want = _digit_planes(((x.astype(np.int64) + y) % p).astype(np.uint8), w)
+    x, y = (np.tile(v.ravel(), 70)[None] for v in np.mgrid[0:p, 0:p])
+    want = _digit_planes((x + y) % p, w)
     X, Y = _digit_planes(x, w), _digit_planes(y, w)
     assert np.array_equal(_plane_add(p, X, Y), want)
     _plane_add(p, X, Y, out=X)
     assert np.array_equal(X, want)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 257])
 def test_plane_double_equals_residue_double(p):
-    # every residue, on planes 70 lanes wide
+    # every residue, 70 times over, on one row of planes
     w = (p - 1).bit_length()
-    x = np.tile(np.arange(p, dtype=np.uint8), 70)[:, None]
-    want = _digit_planes((2 * x % p).astype(np.uint8), w)
+    x = np.tile(np.arange(p), 70)[None]
+    want = _digit_planes(2 * x % p, w)
     X = _digit_planes(x, w)
     out = np.empty_like(X)
     assert _plane_double(p, X, out) is out
     assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 257, 65537, 4194301])
+def test_plane_axpy_equals_residue_axpy(p):
+    # y + f*x with a multiplier f per lane (its planes as the lane masks)
+    # and with one f for every lane (bools), on random (3, w, L) planes
+    # with the extreme residues 0, 1, p - 1 in every role
+    w = (p - 1).bit_length()
+    rng = np.random.default_rng(20261020 + p)
+    x, y = rng.integers(0, p, size=(2, 3, 500))
+    f = rng.integers(0, p, size=500)
+    edge = np.array([0, 1, p - 1])
+    x[:, :27], y[:, :27] = np.repeat(edge, 9), np.tile(np.repeat(edge, 3), 3)
+    f[:27] = np.tile(edge, 9)
+    Y = _digit_planes(y, w)
+    assert _plane_axpy(p, Y, _digit_planes(f, w), _digit_planes(x, w)) is Y
+    assert np.array_equal(Y, _digit_planes((y + f * x) % p, w))
+    c = int(f[-1])
+    Y = _plane_axpy(p, _digit_planes(y, w), [bool(c >> b & 1) for b in range(w)],
+                    _digit_planes(x, w))
+    assert np.array_equal(Y, _digit_planes((y + c * x) % p, w))
+    assert np.array_equal(_lane_values(Y)[:, :500], (y + c * x) % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -256,8 +281,8 @@ def test_plane_multiples_equal_repeated_addition(p):
     # a*x, a = 1..p-1, against x added to itself a - 1 times, on random
     # (3, w, L) planes whose first 40 lanes of each row are zero
     w = (p - 1).bit_length()
-    x = np.random.default_rng(20261020 + p).integers(0, p, size=(200, 3), dtype=np.uint8)
-    x[:40] = 0
+    x = np.random.default_rng(20261020 + p).integers(0, p, size=(3, 200), dtype=np.uint8)
+    x[:, :40] = 0
     X = _digit_planes(x, w)
     M = _plane_multiples(p, X)
     assert M.shape == (p - 1,) + X.shape
@@ -268,47 +293,62 @@ def test_plane_multiples_equal_repeated_addition(p):
     assert not want.any()  # p*x = 0
 
 
-def test_bitsliced_kernel_covers_char2_and_small_primes():
-    # the field alone picks the kernel: every field of characteristic
-    # p <= 7, ranked over F_p
-    assert all(_bitsliced(field(2, m)) for m in range(1, 9))
-    assert all(_bitsliced(field(p, m)) for p in (3, 5, 7) for m in (1, 2))
-    assert all(_bitsliced(K) for K in (field(3, 6), field(3, 8), field(5, 3)))
-    # larger characteristics stay on int64, extension fields included
-    assert not any(_bitsliced(K) for K in (field(11), field(127), field(11, 2),
-                                          field(43, 2), field(2039, 2)))
-
-
 @pytest.mark.parametrize("spec", ["F:2", "F:3", "F:4", "F:5", "F:7", "F:8", "F:9",
-                                  "F:256", "F:3^6"])
+                                  "F:256", "F:3^6", "F:11", "F:121", "F:251", "F:257",
+                                  "F:65537", "F:4194301"])
 def test_index_digits_equal_decoded_digits(spec):
     # index bits over F_2 and runs of each digit over odd F_p: the n*m
-    # base-p digits of an index are the coordinates (K.decode) of its n
-    # base-q digits, from the base-q division (exact while q**n < 2**63);
-    # windows start and end anywhere, inside a run of a high digit (one
-    # run or two) and across many runs of a low one
+    # base-p digits of an index, digit-major, are the coordinates
+    # (K.decode) of its n base-q digits, from the base-q division (exact
+    # while q**n < 2**63); windows start and end anywhere, inside a run of a
+    # high digit (one run or two) and across many runs of a low one.  The
+    # dtype is the smallest unsigned one that holds p - 1, uint8 to p = 251
     K = ring_from_spec(spec)
     for n, lo, hi in ((0, 0, 3), (1, 0, 2), (4, 3, 200), (6, 1000, 1300), (7, 4095, 4200)):
+        if K.size ** n >= 1 << 63:
+            continue
         hi = min(hi, K.size ** n)
         lo = min(lo, hi - 1)
         got = _index_digits(K.p, n * K.m, lo, hi)
-        assert got.dtype == np.uint8
+        assert got.dtype == np.min_scalar_type(K.p - 1)
+        assert (got.dtype == np.uint8) == (K.p <= 251)
         want = [[K.decode(int(d)) for d in row]
                 for row in _decode_elements(K.size, n, lo, hi)]
-        assert got.reshape(hi - lo, n, K.m).tolist() == [[list(c) for c in row]
-                                                        for row in want]
+        assert got.T.reshape(hi - lo, n, K.m).tolist() == [[list(c) for c in row]
+                                                          for row in want]
+
+
+def test_index_digits_build_nothing_the_size_of_p():
+    # windows of 2**15 indices across the wrap of digit 0 from p - 1 to 0,
+    # and of digit 1 at p**2 - 1: no cycle of p values is built
+    p, B = 4194301, 1 << 15
+    for lo in (p - 5, p * p - B // 2):
+        tracemalloc.start()
+        try:
+            got = _index_digits(p, 3, lo, lo + B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        e = np.arange(lo, lo + B)
+        assert got.tolist() == [(e // p**j % p).tolist() for j in range(3)]
+        assert peak < 40 * B
 
 
 # each field at a small n and at a large one (F:4 at n = 32 and F:8 at
 # n = 21 are 64- and 63-column matrices over F_2), odd primes at n = 1
 # too (one column, with nothing to its right to step), F:32 and F:256 past
-# the old four-bit lanes, and odd extension fields ranked over F_3, F_5
-# and F_7 (F:3^8 at n = 3 is 24 columns over F_3)
+# the old four-bit lanes, odd extension fields ranked over F_3, F_5 and
+# F_7 (F:3^8 at n = 3 is 24 columns over F_3), and primes past 7, whose
+# step is double-and-add, from 4 planes (F:11) to 22 (F:4194301), with
+# F:121 and F:43^2 ranked over F_11 and F_43
 LANE_CASES = [("F:3", 1), ("F:3", 3), ("F:3", 16), ("F:5", 1), ("F:5", 2), ("F:5", 16),
               ("F:7", 1), ("F:7", 3), ("F:7", 16),
               ("F:4", 3), ("F:4", 32), ("F:8", 3), ("F:8", 21), ("F:16", 3), ("F:16", 16),
               ("F:32", 3), ("F:256", 2), ("F:9", 3), ("F:9", 8), ("F:25", 3),
-              ("F:27", 4), ("F:49", 3), ("F:3^6", 2), ("F:3^8", 3)]
+              ("F:27", 4), ("F:49", 3), ("F:3^6", 2), ("F:3^8", 3),
+              ("F:11", 1), ("F:11", 8), ("F:13", 1), ("F:13", 6), ("F:23", 1), ("F:23", 5),
+              ("F:121", 1), ("F:121", 4), ("F:43^2", 1), ("F:43^2", 3),
+              ("F:257", 1), ("F:257", 4), ("F:4194301", 1), ("F:4194301", 3)]
 
 
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
@@ -317,7 +357,7 @@ def test_lane_ranks_equal_int64_ranks(spec, n):
     rng = np.random.default_rng(20261019 + n)
     for nrows in (n, 2 * n):
         mats = _random_stack(K, rng, 48, nrows, n)
-        want = _batch_ranks(mats.copy(), K).tolist()
+        want = batch_ranks(mats.copy(), K).tolist()
         assert _lane_ranks_of(mats, K).tolist() == want
     special = np.stack([np.zeros((n, n), dtype=np.int64),
                         np.eye(n, dtype=np.int64),
@@ -328,12 +368,13 @@ def test_lane_ranks_equal_int64_ranks(spec, n):
 
 @pytest.mark.parametrize("spec,n", LANE_CASES, ids=[f"{s}-{n}" for s, n in LANE_CASES])
 def test_lane_ranks_read_no_field_arithmetic(spec, n, monkeypatch):
-    # the kernel takes its pivot steps from the pivot multiples it builds
-    # by plane doubling and addition, and F_{p^m} from the modulus alone,
-    # so it needs no product, no inverse and no table of the field
+    # the kernel takes its pivot steps from plane doubling and addition,
+    # past 7 scaled by Fermat powers of the leads mod p, and F_{p^m} from
+    # the modulus alone, so it needs no product, no inverse and no table of
+    # the field
     K = ring_from_spec(spec)
     mats = _random_stack(K, np.random.default_rng(20261021 + n), 48, 2 * n, n)
-    want = _batch_ranks(mats.copy(), K).tolist()
+    want = batch_ranks(mats.copy(), K).tolist()
 
     def forbidden(self):
         raise AssertionError("the bit-sliced kernel read the field's arithmetic")

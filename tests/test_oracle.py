@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from int64_ranks import batch_ranks, slice_indices
 from nullity import groupring, oracle
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from nullity.formulas import cyclic_histogram_counts
-from nullity.groupring import (CapExceeded, _batch_ranks, _chunk_ranks,
-                               _digit_planes, ring_size)
+from nullity.groupring import CapExceeded, _chunk_ranks, ring_size
 from nullity.groups import cyclic, from_table, group_from_spec, q8, s3
 from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             m2_annihilator_histogram, m2_pair_count_naive,
@@ -183,21 +183,21 @@ def test_packed_f2_census_equals_full_census(group):
         assert annihilator_histogram(field(2), G, side).counts == full.counts
 
 
-def _element_indices(K, X):
-    """Element indices of coordinate rows over F_p: the coordinates of a
-    coefficient are the base-p digits of its index."""
-    return X.astype(np.int64) @ K.p ** np.arange(K.m)
+def _chunk_equals_int64_chunk(K, G, side, lo, hi):
+    """The census kernel on the slice window lo..hi against the int64
+    elimination on the same elements, decoded by division."""
+    P = _ann_gather_indices(G.table, side)
+    A = oracle._census_rows(K, G.order, lo, hi, True)
+    mats = slice_indices(K, G.order, lo, hi)[:, P]
+    assert np.array_equal(_chunk_ranks(K, A, P)[0][:hi - lo], batch_ranks(mats, K))
+    return mats
 
 
 def test_packed_f2_chunk_equals_int64_chunk():
     # 8193 = 64 * 128 + 1 elements of the F:2 Q8xC:2 twosided slice gather:
     # 128 whole words and one lane of the next
-    P = _ann_gather_indices(group_from_spec("Q8xC:2").table, "twosided")
-    X = oracle._census_rows(field(2), 16, 0, 8193, True)
-    mats = _element_indices(field(2), X[:, P])
+    mats = _chunk_equals_int64_chunk(field(2), group_from_spec("Q8xC:2"), "twosided", 0, 8193)
     assert mats.shape == (8193, 32, 16)
-    assert np.array_equal(_chunk_ranks(field(2), X, P)[0],
-                          _batch_ranks(mats, field(2)))
 
 
 LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
@@ -207,7 +207,9 @@ LANE_CENSUS_CASES = [("F:3", "Q8", "twosided"), ("F:5", "S3", "left"),
                      ("F:32", "C:2", "left"), ("F:32", "C:3", "twosided"),
                      ("F:64", "C:2", "twosided"), ("F:64", "C:3", "left"),
                      ("F:256", "C:2", "right"), ("F:9", "S3", "twosided"),
-                     ("F:27", "C:2", "left"), ("F:25", "C:2", "right")]
+                     ("F:27", "C:2", "left"), ("F:25", "C:2", "right"),
+                     ("F:11", "C:4", "left"), ("F:13", "C:3", "twosided"),
+                     ("F:121", "C:2", "left"), ("F:43^2", "C:1", "right")]
 
 
 @pytest.mark.parametrize("coeff,group,side", LANE_CENSUS_CASES,
@@ -218,17 +220,13 @@ def test_lane_census_equals_full_census(coeff, group, side):
     assert annihilator_histogram(K, G, side).counts == full.counts
     # both methods rank on one kernel, so one slice chunk of up to 1000
     # elements is checked against the int64 elimination as well
-    n = G.order
-    P = _ann_gather_indices(G.table, side)
-    X = oracle._census_rows(K, n, 0, min(K.size ** (n - 1), 1000), True)
-    assert np.array_equal(_chunk_ranks(K, X, P)[0],
-                          _batch_ranks(_element_indices(K, X[:, P]), K))
+    _chunk_equals_int64_chunk(K, G, side, 0, min(K.size ** (G.order - 1), 1000))
 
 
 @pytest.mark.parametrize("side", ["left", "twosided"])
 def test_f256_c3_census_equals_cyclic_closed_form(side):
-    # the full census of F:256 C:3 ranks 2**24 elements on int64 (about
-    # 15 s), so the slice census is checked against the closed form here
+    # the full census of F:256 C:3 ranks 2**24 elements, four times the
+    # default cap, so the slice census is checked against the closed form
     K = field(2, 8)
     hist = annihilator_histogram(K, cyclic(3), side, max_elements=1 << 24)
     assert hist.counts == cyclic_histogram_counts(256, 3)
@@ -240,8 +238,8 @@ def test_f256_c3_census_equals_cyclic_closed_form(side):
     ("F:9", "C:3", "left"), ("F:49", "C:2", "twosided")])
 def test_rows_packed_at_the_gather_equal_the_packed_stack(coeff, group, side):
     # the kernel gathers the planes of each coordinate by P; packing the
-    # coordinate stack X[:, P] lane by lane gives the same words, the tail
-    # lanes zero
+    # coordinates of the stack of decoded element indices lane by lane
+    # gives the same words in the window's lanes (the tail is not ranked)
     K, G = ring_from_spec(coeff), group_from_spec(group)
     n = G.order
     w = (K.p - 1).bit_length()
@@ -249,15 +247,18 @@ def test_rows_packed_at_the_gather_equal_the_packed_stack(coeff, group, side):
     work = K.size ** (n - 1)
     lo = 37 % work  # off the 64-lane grid at both ends
     hi = lo + min(1000, work - lo)
-    X = oracle._census_rows(K, n, lo, hi, True)
-    mats = X[:, P].astype(np.uint64)  # (B, R, n, m)
-    L = -(-(hi - lo) // 64)
+    B, L = hi - lo, -(-(hi - lo) // 64)
+    mats = slice_indices(K, n, lo, hi)[:, P]  # (B, R, n)
+    coords = mats[..., None] // K.p ** np.arange(K.m) % K.p  # (B, R, n, m)
     shape = P.shape + (K.m, w)
     lanes = np.zeros((64 * L,) + shape, dtype=np.uint64)
-    lanes[:hi - lo] = (mats[..., None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
+    lanes[:B] = (coords[..., None] >> np.arange(w)) & 1
     lanes <<= (np.arange(64 * L, dtype=np.uint64) % np.uint64(64))[:, None, None, None, None]
     words = np.bitwise_or.reduce(lanes.reshape(L, 64, *shape), axis=1)
-    assert np.array_equal(_digit_planes(X, w)[P], words.transpose(1, 2, 3, 4, 0))
+    window = np.uint64((1 << 64) - 1) >> np.uint64(-B % 64)  # the last word's lanes below B
+    got = oracle._census_rows(K, n, lo, hi, True)[P]
+    got[..., -1] &= window
+    assert np.array_equal(got, words.transpose(1, 2, 3, 4, 0))
 
 
 TAIL_CASES = [("F:2", "S3", "twosided"), ("F:3", "C:2", "left"),
@@ -284,27 +285,27 @@ def test_tail_lanes_census_equals_full_census(coeff, group, side, chunk, monkeyp
     ("F:7", "C:4", "left"), ("F:32", "C:3", "twosided")])
 def test_chunk_of_64k_plus_one_elements_equals_int64_ranks(coeff, group, side):
     K, G = ring_from_spec(coeff), group_from_spec(group)
-    P = _ann_gather_indices(G.table, side)
-    X = oracle._census_rows(K, G.order, 5, 5 + 129, True)
-    assert np.array_equal(_chunk_ranks(K, X, P)[0],
-                          _batch_ranks(_element_indices(K, X[:, P]), K))
+    _chunk_equals_int64_chunk(K, G, side, 5, 5 + 129)
 
 
-def test_char2_slice_census_reads_no_field_table(monkeypatch):
-    # every field of characteristic p <= 7 is ranked over F_p through
-    # multiplication by t folded by the modulus, by either method: no
-    # structure constants, array ops or powers of t.  Histograms are the
-    # cyclic closed forms or frozen from a census that ranked over F_q
+def test_census_reads_no_field_table(monkeypatch):
+    # every field is ranked over F_p through multiplication by t folded by
+    # the modulus, by either method: no structure constants, array ops or
+    # powers of t.  Histograms are the cyclic closed forms or frozen from a
+    # census that ranked over F_q
     cases = [("F:4", "S3", "twosided", [2160, 1440, 405, 75, 12, 3, 1]),
              ("F:9", "S3", "twosided", [419904, 93312, 16848, 1296, 64, 16, 1]),
              ("F:8", "C:3", "left", cyclic_histogram_counts(8, 3)),
              ("F:32", "C:3", "right", cyclic_histogram_counts(32, 3)),
              ("F:27", "C:2", "left", cyclic_histogram_counts(27, 2)),
              ("F:25", "C:2", "right", cyclic_histogram_counts(25, 2)),
-             ("F:3^8", "C:1", "left", [6560, 1])]
+             ("F:3^8", "C:1", "left", [6560, 1]),
+             ("F:11", "C:3", "twosided", cyclic_histogram_counts(11, 3)),
+             ("F:121", "C:2", "left", cyclic_histogram_counts(121, 2)),
+             ("F:43^2", "C:1", "right", [1848, 1])]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the bit-sliced census read a field table")
+        raise AssertionError("the census read a field table")
 
     monkeypatch.setattr(groupring, "_structure_constants", forbidden)
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
@@ -323,8 +324,8 @@ def test_census_over_large_extension_field():
 
 
 def test_census_over_extension_field_builds_no_table():
-    # F:43^2 (p > 7) is ranked as 2x2 blocks over F_43 on int64: no table
-    # of the field's q = 1849 elements, let alone q x q
+    # F:43^2 is ranked as 2x2 blocks over F_43 on bit-sliced planes: no
+    # table of the field's q = 1849 elements, let alone q x q
     tracemalloc.start()
     try:
         hist = annihilator_histogram(field(43, 2), cyclic(2))
@@ -361,6 +362,25 @@ def test_census_over_large_prime_field_builds_no_inverse_table():
         tracemalloc.stop()
     assert hist.counts == [4194300, 1]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("coeff,group,side,method", [
+    ("F:23", "C:4", "twosided", "slice"), ("F:127", "C:3", "left", "slice"),
+    ("F:257", "C:2", "left", "slice"), ("F:2039", "C:2", "twosided", "slice"),
+    ("F:121", "C:2", "twosided", "full"), ("F:4194301", "C:1", "left", "slice"),
+    ("F:4194301", "C:1", "left", "full")])
+def test_large_prime_census_equals_cyclic_closed_form(coeff, group, side, method):
+    # primes past 7, up to 22 planes, and F:121 over F_11, on the
+    # double-and-add step
+    K, G = ring_from_spec(coeff), group_from_spec(group)
+    hist = annihilator_histogram(K, G, side, method=method)
+    assert hist.counts == cyclic_histogram_counts(K.size, G.order)
+
+
+def test_f11_s3_twosided_census_frozen():
+    # frozen from the int64 elimination that ranked every p > 7 census
+    hist = annihilator_histogram(field(11), s3(), "twosided")
+    assert hist.counts == [1320000, 408000, 42000, 1440, 100, 20, 1]
 
 
 def test_census_argument_validation():
@@ -577,13 +597,13 @@ def test_matrix_census_ranks_only_the_slice(q, side, monkeypatch):
     # a silent fall-back to the full census would still give the right
     # histogram, so count the rows ranked: q**3 slice elements, not q**4
     ranked = []
-    chunk_ranks = oracle._chunk_ranks
+    census_rows = oracle._census_rows
 
-    def spy(K, X, P):
-        ranked.append(X.shape[0])
-        return chunk_ranks(K, X, P)
+    def spy(K, n, lo, hi, sliced):
+        ranked.append(hi - lo)
+        return census_rows(K, n, lo, hi, sliced)
 
-    monkeypatch.setattr(oracle, "_chunk_ranks", spy)
+    monkeypatch.setattr(oracle, "_census_rows", spy)
     K = field(q)
     hist = m2_annihilator_histogram(K, side)
     assert sum(ranked) == q**3
@@ -690,10 +710,11 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
         raise AssertionError("the literal route read a census helper")
 
     monkeypatch.setattr(CoeffRing, "array_ops", forbidden)
-    for name in ("_ann_gather_indices", "_batch_ranks", "_restricted", "_chunk_ranks",
-                 "_bitsliced_ranks", "_index_digits", "_digit_planes",
-                 "_plane_ranks", "_plane_add", "_plane_double", "_plane_multiples",
-                 "_lane_counts", "_times_t"):
+    # every plane and lane helper of the kernel, present and future
+    kernel = [name for name in vars(groupring) if name.startswith(("_plane", "_lane"))]
+    assert len(kernel) >= 8
+    for name in ["_ann_gather_indices", "_chunk_ranks", "_bitsliced_ranks", "_cycle",
+                 "_index_digits", "_digit_planes", "_times_t", "_fermat_inverse"] + kernel:
         monkeypatch.setattr(groupring, name, forbidden)
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want
