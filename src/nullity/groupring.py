@@ -258,21 +258,23 @@ def _residues(S: np.ndarray, N: int) -> np.ndarray:
 
 
 def _half_codes(M: np.ndarray, N: int, dt) -> np.ndarray:
-    """codes[r, i] = sum_w c_w * N**w, where c holds the coordinates mod N
-    of sum_v d_v * M[r, v] and d the k base-N digits of i < N**k, for the
-    (rows, k, D) stack M: one matmul of all digit rows against M, the
-    residues, then the fold.  k = 0 leaves the zero vector alone, code 0.
-    Codes are integers below N**D, the number of elements, so float64
-    holds them exactly."""
-    rows, k, D = M.shape
+    """codes[r, i] = sum_w c_w * N**w, where c holds the E coordinates
+    mod N of sum_v d_v * M[r, v] and d the k base-N digits of i < N**k,
+    for the (rows, k, E) stack M: one matmul of all digit rows against M,
+    the residues, then the fold.  k = 0 leaves the zero vector alone, code
+    0.  Codes are integers below N**E, which :func:`_zero_product_mask`
+    keeps below 2**53, so float64 holds them exactly."""
+    rows, k, E = M.shape
     digits = _decode_elements(N, k, 0, N**k).astype(dt)
-    C = _residues(digits @ M.transpose(1, 0, 2).reshape(k, rows * D), N)
-    return (C.reshape(-1, rows, D) @ float(N) ** np.arange(D)).T
+    C = _residues(digits @ M.transpose(1, 0, 2).reshape(k, rows * E), N)
+    return (C.reshape(-1, rows, E) @ float(N) ** np.arange(E)).T
 
 
 def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray) -> np.ndarray:
     """Z[r, e] = (a_r * b_e == 0) for coordinate rows A (base-N digits, see
-    :func:`_structure_constants`) against every element index e, in order.
+    :func:`_structure_constants`) against every element index e, in order,
+    for a bilinear (D, D, E) map T over Z/N: the structure constants, or the
+    twosided b -> (ab, ba), np.concatenate([T, T.transpose(1, 0, 2)], 2).
 
     Literal products, split in half: b -> a*b is linear over Z/N, so with
     h = D // 2 and e = lo + N**h * hi, b_e = b_lo + b_hi over the low and
@@ -280,17 +282,20 @@ def _zero_product_mask(T: np.ndarray, N: int, A: np.ndarray) -> np.ndarray:
     -a*b_hi agree mod N.  M = (A @ T) mod N holds in row v the coordinates
     of a*e_v; the N**h low and N**(D - h) high halves each take one float
     matmul of their digits against M's rows, and each coordinate vector
-    mod N folds into one code (:func:`_half_codes`).  Every pair then gets
-    one exact comparison of codes.  All sums are integers of at most
-    D*(N-1)**2 and exact in :func:`_exact_float`'s dtype.  No ranks, no
-    kernels.
+    mod N folds into one code below N**E < 2**53, checked first
+    (:func:`_half_codes`).  Every pair then gets one exact comparison of
+    codes.  All sums are integers of at most D*(N-1)**2 and exact in
+    :func:`_exact_float`'s dtype.  No ranks, no kernels.
     """
-    D = T.shape[0]
+    D, _, E = T.shape
+    if N**E >= 1 << 53:
+        raise ValueError(f"literal product codes over E = {E} coordinates mod N = {N} "
+                         f"reach N**E = {N**E}, past the exact float64 range 2**53")
     dt = _exact_float(D, N)
     h = D // 2
     with _one_blas_thread():
-        M = _residues(A.astype(dt) @ T.reshape(D, D * D).astype(dt), N)
-        M = M.reshape(-1, D, D)
+        M = _residues(A.astype(dt) @ T.reshape(D, D * E).astype(dt), N)
+        M = M.reshape(-1, D, E)
         lo = _half_codes(M[:, :h], N, dt)
         hi = _half_codes(-M[:, h:], N, dt)
     return (hi[:, :, None] == lo[:, None, :]).reshape(A.shape[0], -1)
@@ -654,7 +659,8 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     Each candidate a is one literal product from the structure constants
     (:func:`_zero_product_mask`), with x as the one-row block on the left:
     x*a for the right side, and for the left a*x, which is x*a in the
-    opposite algebra, whose structure constants are T.transpose(1, 0, 2).
+    opposite algebra, whose structure constants are T.transpose(1, 0, 2);
+    twosided stacks the two maps, a -> (x*a, a*x).
     """
     _check_side(side)
     _check_vector(K, G, x)
@@ -665,9 +671,8 @@ def annihilator_size_by_enumeration(K: CoeffRing, G: CayleyGroup, x,
     T, N = _structure_constants(K, G.table)
     e = element_index(K, G, x)
     xr = _decode_elements(N, T.shape[0], e, e + 1)
-    zero = np.ones(total, dtype=bool)
-    if side in ("left", "twosided"):
-        zero &= _zero_product_mask(T.transpose(1, 0, 2), N, xr)[0]
-    if side in ("right", "twosided"):
-        zero &= _zero_product_mask(T, N, xr)[0]
-    return int(np.count_nonzero(zero))
+    if side == "left":
+        T = T.transpose(1, 0, 2)
+    elif side == "twosided":
+        T = np.concatenate([T, T.transpose(1, 0, 2)], axis=2)
+    return int(np.count_nonzero(_zero_product_mask(T, N, xr)))

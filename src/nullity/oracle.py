@@ -10,11 +10,12 @@ Two independent routes are kept deliberately separate:
   size, for group algebras and matrix units alike; method="full" ranks
   every element on the same kernel and is the reference for the weights;
 * naive pair counting: the literal product of every ordered pair (a, b),
-  from the algebra's structure constants over its prime ring Z/N, on
-  blocks of rows of a: exact float matmuls give the coordinates of a
-  times each low and each high half of b, and a*b = 0 is one exact
-  comparison of their codes; no rank and no kernel.  It cross-validates
-  the census and covers Z:n coefficients, where rank is meaningless.
+  from the algebra's structure constants over its prime ring Z/N, one
+  block of rows of a at a time, counted and dropped: exact float matmuls
+  give the coordinates of a times each low and each high half of b, and
+  a*b = 0 (or (ab, ba) = 0) is one exact comparison of their codes; no
+  pair matrix, no rank and no kernel.  It cross-validates the census and
+  covers Z:n coefficients, where rank is meaningless.
 
 Both routes read one multiplication table over a basis: table[i, j] is the
 index of b_i * b_j, or n when the product is zero.  A group's Cayley table
@@ -49,8 +50,9 @@ DEFAULT_MAX_PAIRS = 1 << 20
 # elements per census chunk, enough that two worker threads spend their
 # time in numpy loops
 _CHUNK = 1 << 15
-# pairs per row block of the pair counter (a 256 KiB boolean block); on
-# 2 vCPUs 2**18 ran the benchmark pair counts faster than 2**16 and 2**20
+# code comparisons per row block of the pair counter (a 256 KiB mask, counted
+# and dropped); on 2 vCPUs 2**18 ran the benchmark pair counts faster than
+# 2**16 and 2**20
 _PRODUCT_BLOCK = 1 << 18
 
 CENSUS_METHODS = ("slice", "full")
@@ -252,35 +254,27 @@ def nullity_probability(K: CoeffRing, G: CayleyGroup, side: str = "left", *,
     return Fraction(count, total * total)
 
 
-def _zero_products(K: CoeffRing, table: np.ndarray, max_pairs: int) -> np.ndarray:
-    """Z[a, b] = (a*b == 0) over all element indices, one literal zero
-    test per ordered pair, from the structure constants over K's prime
-    ring in blocks of rows of a (:func:`_zero_product_mask`)."""
-    n = table.shape[0]
-    total = K.size**n
+def _pair_count(K: CoeffRing, table: np.ndarray, relation: str,
+                max_pairs: int) -> int:
+    """#{(a, b) : a*b = 0} (or (ab, ba) = 0), one literal zero test per
+    ordered pair from the structure constants over K's prime ring, counted
+    block by block of rows of a (:func:`_zero_product_mask`)."""
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+    total = K.size ** table.shape[0]
     if total * total > max_pairs:
         raise CapExceeded(
             f"naive count over |K|^n squared = {total * total} pairs "
             f"exceeds max_pairs={max_pairs}")
     T, N = _structure_constants(K, table)
+    if relation == "ab=0&ba=0":
+        T = np.concatenate([T, T.transpose(1, 0, 2)], axis=2)
     rows = max(1, _PRODUCT_BLOCK // total)
-    Z = np.empty((total, total), dtype=bool)
+    count = 0
     for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        Z[lo:hi] = _zero_product_mask(T, N, _decode_elements(N, T.shape[0], lo, hi))
-    return Z
-
-
-def _pair_count(K: CoeffRing, table: np.ndarray, relation: str,
-                max_pairs: int) -> int:
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-    Z = _zero_products(K, table, max_pairs)
-    # Z.T[a, b] is b*a == 0; a symmetric table makes the algebra
-    # commutative, so there Z.T is Z
-    if relation == "ab=0&ba=0" and not np.array_equal(table, table.T):
-        Z = Z & Z.T
-    return int(np.count_nonzero(Z))
+        A = _decode_elements(N, T.shape[0], lo, min(lo + rows, total))
+        count += int(np.count_nonzero(_zero_product_mask(T, N, A)))
+    return count
 
 
 def pair_count_naive(K: CoeffRing, G: CayleyGroup, relation: str = "ab=0", *,

@@ -60,6 +60,15 @@ def test_oracle_mod_coefficients(capsys):
     assert out == 'rec(group := "C:2", coeff := "Z:4", p := 7/32)\n'
 
 
+def test_oracle_mod_coefficients_past_one_block(capsys):
+    # Z:n has no census: 4096 elements, 2**24 pairs in 64 row blocks of
+    # the literal counter, end to end
+    code, out, err = run(capsys, "oracle", "--coeff", "Z:4", "--group", "C:6",
+                         "--side", "twosided", "--max-pairs", "16777216", "--no-timing")
+    assert code == 0 and not err
+    assert out == 'rec(group := "C:6", coeff := "Z:4", p := 175/32768)\n'
+
+
 def test_oracle_group_table_file(capsys, tmp_path):
     path = tmp_path / "klein.json"
     path.write_text(json.dumps(group_from_spec("C2xC2").table.tolist()))

@@ -425,6 +425,34 @@ def test_zero_product_masks_orientation(coeff, group, xs):
             assert not np.array_equal(left, right)
 
 
+@pytest.mark.parametrize("coeff, xs", [
+    ("F:3", [(0, 1, 0, 0, 2, 0), (1, 0, 2, 0, 0, 1), (0, 2, 2, 0, 0, 2)]),
+    ("Z:4", [(2, 1, 0, 0, 3, 0), (0, 2, 2, 0, 0, 2)]),
+])
+def test_stacked_map_mask_is_both_sides(coeff, xs):
+    # the map b -> (ab, ba), the constants with their transpose stacked
+    # behind them, is zero exactly when both products are; the rows x have
+    # left and right masks that differ, and the zero row annihilates all
+    K, G = ring_from_spec(coeff), s3()
+    n, total = G.order, ring_size(K, G)
+    T, N = _structure_constants(K, G.table)
+    both = np.concatenate([T, T.transpose(1, 0, 2)], axis=2)
+    zero = (0,) * n
+    elements = [element_vector(K, G, e) for e in range(total)]
+    rows = [zero, *xs]
+    Z = _zero_product_mask(both, N, _coordinate_rows(K, n, rows))
+    for a, got in zip(rows, Z):
+        assert got.tolist() == [gr_multiply(K, G, a, b) == zero == gr_multiply(K, G, b, a)
+                                for b in elements]
+    assert Z[0].all()
+    for x, got in zip(xs, Z[1:]):
+        xr = _coordinate_rows(K, n, [x])
+        left = _zero_product_mask(T.transpose(1, 0, 2), N, xr)[0]
+        right = _zero_product_mask(T, N, xr)[0]
+        assert not np.array_equal(left, right)
+        assert not np.array_equal(got, left) and not np.array_equal(got, right)
+
+
 def _coordinate_rows(K, n, vectors):
     """Coordinate rows (base-N digits) of coefficient vectors of length n."""
     m = K.m if K.is_field else 1

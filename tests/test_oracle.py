@@ -21,8 +21,7 @@ from nullity.oracle import (_pool_size, annihilator_histogram, histogram_record,
                             pair_count_naive, record_text)
 from nullity.groupring import (annihilator_size_by_enumeration, element_vector,
                                gr_multiply)
-from nullity.oracle import (_ann_gather_indices, _census, _matrix_unit_table,
-                            _pair_count, _zero_products)
+from nullity.oracle import _ann_gather_indices, _census, _matrix_unit_table, _pair_count
 
 # Census values below were frozen from independent runs of this engine and
 # cross-checked against the literal pair counters; they guard regressions.
@@ -460,15 +459,6 @@ def test_matrix_ring_census_q3_and_naive():
     assert m2_pair_count_naive(field(2), "ab=0&ba=0") == 40
 
 
-def test_zero_product_matrix_shape():
-    K, G = field(2), cyclic(2)
-    Z = _zero_products(K, G.table, oracle.DEFAULT_MAX_PAIRS)
-    assert Z.shape == (4, 4)
-    assert int(Z.sum()) == 8
-    assert np.array_equal(Z, Z.T)  # abelian
-    assert bool(Z[0].all())  # zero annihilates everything
-
-
 def test_direct_sum_pair_count_factorizes():
     c1 = (field(2), cyclic(2))
     c2 = (field(3), cyclic(2))
@@ -625,12 +615,10 @@ def test_table_gather_matches_group_inverse_form(group):
                                              ("S3", False)])
 def test_twosided_count_skips_the_and_on_symmetric_tables(coeff, group, symmetric):
     # a commutative algebra has ab = 0 iff ba = 0, so its twosided count
-    # is the one-sided count; S3's table is not symmetric and keeps the AND
+    # is the one-sided count; S3's table is not symmetric and its counts differ
     K, G = ring_from_spec(coeff), group_from_spec(group)
     assert np.array_equal(G.table, G.table.T) == symmetric
-    Z = _zero_products(K, G.table, 1 << 20)
     twosided = _pair_count(K, G.table, "ab=0&ba=0", 1 << 20)
-    assert twosided == np.count_nonzero(Z & Z.T)
     assert (twosided == _pair_count(K, G.table, "ab=0", 1 << 20)) == symmetric
 
 
@@ -651,6 +639,27 @@ def test_pair_count_equals_census_at_benchmark_scale(coeff, group):
         assert annihilator_histogram(K, G, side).weighted_sum() == one_sided
     assert (annihilator_histogram(K, G, "twosided").weighted_sum()
             == pair_count_naive(K, G, "ab=0&ba=0"))
+
+
+@pytest.mark.parametrize("group, relation, side", [("C:12", "ab=0", "left"),
+                                                   ("S3xC:2", "ab=0&ba=0", "twosided")])
+def test_pair_count_past_one_block_equals_census(group, relation, side):
+    # 4096 elements: 2**24 pairs in 64 row blocks of the counter
+    K, G = field(2), group_from_spec(group)
+    assert ring_size(K, G) ** 2 // oracle._PRODUCT_BLOCK == 64
+    assert (pair_count_naive(K, G, relation, max_pairs=1 << 24)
+            == annihilator_histogram(K, G, side).weighted_sum())
+
+
+def test_pair_count_holds_one_block_not_the_pair_matrix():
+    # the 4096 x 4096 zero-pair matrix would take 16 MiB
+    tracemalloc.start()
+    try:
+        pair_count_naive(field(2), cyclic(12), "ab=0", max_pairs=1 << 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_mod_ring_pair_count_frozen():
@@ -699,6 +708,24 @@ def test_literal_products_past_float64_are_refused_before_allocation(monkeypatch
         pair_count_naive(K, G, max_pairs=1 << 54)
     with pytest.raises(ValueError, match="D = 1 coordinates mod N = 134217728"):
         annihilator_size_by_enumeration(K, G, (5,), cap=1 << 27)
+
+
+def test_product_codes_past_float64_are_refused_before_products(monkeypatch):
+    # (ab, ba) codes fold 2n coordinates: over F:2 C:27 they reach 2**54,
+    # while each product sum stays small
+    def no_products(*args):
+        raise AssertionError("products formed before the code guard")
+
+    monkeypatch.setattr(groupring, "_residues", no_products)
+    monkeypatch.setattr(groupring, "_half_codes", no_products)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"E = 54 coordinates mod N = 2 .* 2\*\*53"):
+            _pair_count(field(2), cyclic(27).table, "ab=0&ba=0", 1 << 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_literal_route_reads_no_census_helper(monkeypatch):
