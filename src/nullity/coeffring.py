@@ -1,11 +1,12 @@
 """Finite coefficient rings: prime fields, extension fields, integers mod n.
 
-Ring elements are plain integers in ``[0, size)``.  For ``Z:n`` and ``F:p``
-the index is the residue itself.  For ``F:p^m`` the base-p digits of the
-index, read little-endian, are polynomial coefficients in the generator
-``t``: the index ``a0 + a1*p + ... + a_{m-1}*p**(m-1)`` encodes
-``a0 + a1*t + ... + a_{m-1}*t**(m-1)``.  Index 0 is the additive zero and
-index 1 the multiplicative identity in every ring.
+Ring elements are plain integers in ``[0, size)``.  The m base-c digits
+of an index, c the characteristic and read little-endian, are polynomial
+coefficients in the generator ``t``: the index
+``a0 + a1*c + ... + a_{m-1}*c**(m-1)`` encodes
+``a0 + a1*t + ... + a_{m-1}*t**(m-1)``.  For ``F:p`` and ``Z:n``, m = 1 and
+the index is the residue itself.  Index 0 is the additive zero and index 1
+the multiplicative identity in every ring.
 """
 
 from __future__ import annotations
@@ -70,31 +71,6 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
     return r
 
 
-def _poly_inv(a: list[int], den: list[int], p: int) -> list[int]:
-    """Inverse of a nonzero a mod den over F_p, trailing zeros dropped; den
-    must be monic irreducible and of higher degree than a.
-
-    Extended Euclid keeping r = s*a (mod den) for both rows: the leading
-    term of the longer r is cancelled with the shorter until a nonzero
-    constant is left, whose inverse scales its s.
-    """
-    (r0, s0), (r1, s1) = (list(den), []), (_poly_rem(a, den, p), [1])
-    while len(r1) > 1:
-        k = len(r0) - len(r1)
-        f = r0[-1] * pow(r1[-1], p - 2, p) % p
-        s0 = s0 + [0] * (k + len(s1) - len(s0))
-        for j, v in enumerate(r1):
-            r0[k + j] = (r0[k + j] - f * v) % p
-        for j, v in enumerate(s1):
-            s0[k + j] = (s0[k + j] - f * v) % p
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) < len(r1):
-            (r0, s0), (r1, s1) = (r1, s1), (r0, s0)
-    c = pow(r1[0], p - 2, p)
-    return _poly_rem([c * v for v in s1], den, p)
-
-
 def _is_irreducible(low: list[int], p: int, m: int) -> bool:
     """Is x**m + sum(low[i] x**i) irreducible over F_p?
 
@@ -149,7 +125,7 @@ class CoeffRing:
     ``extension-field``, ``mod-n``.
     """
 
-    def __init__(self, kind: str, *, p: int | None = None, m: int | None = None,
+    def __init__(self, kind: str, *, p: int | None = None, m: int = 1,
                  modulus_poly: tuple[int, ...] | None = None, n: int | None = None):
         self.kind = kind
         self.p = p
@@ -165,9 +141,9 @@ class CoeffRing:
         else:
             self.size = n
             self.spec = f"Z:{n}"
-        self._tpow: list[tuple[int, ...]] | None = None
+        # digits of t**k reduced mod the modulus, for k = 0 .. 2m-2
+        self._tpow: list[tuple[int, ...]] = [(1,)]
         if kind == EXTENSION_FIELD:
-            # digits of t**k reduced mod the modulus, for k = 0 .. 2m-2
             den = list(modulus_poly) + [1]
             rems = (_poly_rem([0] * k + [1], den, p) for k in range(2 * m - 1))
             self._tpow = [tuple(r + [0] * (m - len(r))) for r in rems]
@@ -193,16 +169,16 @@ class CoeffRing:
         """p for fields, the additive order of 1 for Z:n."""
         return self.p if self.is_field else self.n
 
-    # --- extension-field digit plumbing -------------------------------
+    # --- digit plumbing ----------------------------------------------
 
     def decode(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, little-endian, length m."""
-        p = self.p
-        return tuple((a // p**i) % p for i in range(self.m))
+        """Base-characteristic digits of a, little-endian, length m."""
+        c = self.characteristic
+        return tuple((a // c**i) % c for i in range(self.m))
 
     def encode(self, digits) -> int:
-        p = self.p
-        return sum(int(d) % p * p**i for i, d in enumerate(digits))
+        c = self.characteristic
+        return sum(int(d) % c * c**i for i, d in enumerate(digits))
 
     # --- scalar arithmetic --------------------------------------------
 
@@ -240,28 +216,28 @@ class CoeffRing:
         return (a * b) % self.size
 
     def pow(self, a: int, e: int) -> int:
-        if self.kind != EXTENSION_FIELD:
-            return pow(a, e, self.size)
-        r, b = 1, a
+        """a**e by square-and-multiply; a negative e powers inv(a)."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        r = 1
         while e:
             if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
+                r = self.mul(r, a)
+            a = self.mul(a, a)
             e >>= 1
         return r
 
     def inv(self, a: int) -> int:
+        """The Fermat power a**(q-2) in a field; Python's modular inverse
+        in Z:n."""
         if a % self.size == 0:
             raise NotInvertibleError(f"not invertible: 0 in {self.spec}")
-        if self.kind == MOD_N:
-            try:
-                return pow(a, -1, self.n)
-            except ValueError:
-                raise NotInvertibleError(f"not invertible: {a} in {self.spec}") from None
-        if self.kind == PRIME_FIELD:
-            return pow(a, self.p - 2, self.p)
-        return self.encode(_poly_inv(list(self.decode(a)), [*self.modulus_poly, 1],
-                                     self.p))
+        if self.is_field:
+            return self.pow(a, self.size - 2)
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:
+            raise NotInvertibleError(f"not invertible: {a} in {self.spec}") from None
 
     # --- array ops ----------------------------------------------------
 
@@ -291,7 +267,7 @@ def field(p: int, m: int = 1, *, modulus: tuple[int, ...] | None = None,
     if not is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p}")
     if m == 1:
-        return CoeffRing(PRIME_FIELD, p=p, m=1)
+        return CoeffRing(PRIME_FIELD, p=p)
     if modulus is None:
         modulus = lex_smallest_irreducible(p, m)
     else:

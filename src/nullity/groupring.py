@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .groups import CayleyGroup
 SIDES = ("left", "right", "twosided")
 
 DEFAULT_MAX_ENUMERATION = 1 << 16
+
+_BLAS_THREADS_LOCK = threading.RLock()
 
 
 class CapExceeded(RuntimeError):
@@ -165,16 +168,15 @@ def _structure_constants(K: CoeffRing, table: np.ndarray) -> tuple[np.ndarray, i
     """
     n = table.shape[0]
     N = K.characteristic
-    m = K.m if K.is_field else 1
+    m = K.m
     D = n * m
     _exact_float(D, N)
-    tpow = K._tpow or [(1,)]
     T = np.zeros((D, D, D), dtype=np.int64)
     g, h = np.nonzero(table < n)
     c = table[g, h][:, None] * m + np.arange(m)
     for i in range(m):
         for j in range(m):
-            T[(g * m + i)[:, None], (h * m + j)[:, None], c] = tpow[i + j]
+            T[(g * m + i)[:, None], (h * m + j)[:, None], c] = K._tpow[i + j]
     return T, N
 
 
@@ -205,18 +207,21 @@ def _one_blas_thread():
     """Run the enclosed float matmuls on the calling thread alone.  The
     literal products are small (D inner coordinates), a second OpenBLAS
     thread saves little on them, and OpenBLAS workers keep spinning on a
-    CPU after each threaded call, slowing whatever the process runs next."""
+    CPU after each threaded call, slowing whatever the process runs next.
+    The count is process-wide, so one scope at a time holds it: a scope
+    that saved another's 1 and restored it last would leave it at 1."""
     threads = _openblas_threads()
     if threads is None:
         yield
         return
     get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    with _BLAS_THREADS_LOCK:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
 
 
 @functools.cache
@@ -635,8 +640,7 @@ def matrix_rank(K: CoeffRing, rows) -> int:
     return int(_bitsliced_ranks(K, A, np.arange(R * n).reshape(R, n))[0])
 
 
-def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,
-                     max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> int:
+def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left") -> int:
     """|Ann_side(x)| for a single element.
 
     Fields go through matrix rank; Z:n coefficients fall back to direct
@@ -645,7 +649,7 @@ def annihilator_size(K: CoeffRing, G: CayleyGroup, x, side: str = "left", *,
     _check_side(side)
     _check_vector(K, G, x)
     if not K.is_field:
-        return annihilator_size_by_enumeration(K, G, x, side, cap=max_enumeration)
+        return annihilator_size_by_enumeration(K, G, x, side)
     M = np.array([*x, 0], dtype=np.int64)[_ann_gather_indices(G.table, side)]
     return K.size ** (G.order - matrix_rank(K, M))
 

@@ -1,6 +1,10 @@
 """Coefficient ring arithmetic: prime fields, extension fields, Z/n."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from nullity.coeffring import (MAX_EXTENSION_DEGREE, NotInvertibleError,
                                field, integers_mod, is_prime,
                                lex_smallest_irreducible,
                                prime_power_decomposition, ring_from_spec)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _poly_mul(a, b, p):
@@ -194,15 +200,49 @@ def test_inverse_failures_raise():
     assert issubclass(NotInvertibleError, ValueError)
 
 
-def test_extension_inverse_by_euclid():
-    # two independent inverses in the scalar arithmetic: extended Euclid
-    # over F_p[t], and the Fermat power a**(q-2) by square-and-multiply
-    for K in (field(2, 2), field(3, 2), field(2, 8), field(3, 6)):
-        assert all(K.inv(a) == K.pow(a, K.size - 2) for a in range(1, K.size))
-    K = field(3, 8)
-    for a in random.Random(38).sample(range(1, K.size), 200):
-        assert K.inv(a) == K.pow(a, K.size - 2)
-    assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, K.size))
+def test_inverse_is_fermat_power_for_every_field():
+    # inv(a) = a**(q-2) runs on the field's own product, so check it
+    # against that product, and over F_p against Python's modular inverse
+    for K in (field(2, 2), field(2, 3), field(3, 2), field(2, 8), field(3, 6)):
+        assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, K.size))
+    for K in (field(3, 8), field(43, 2), field(2039, 2)):
+        for a in random.Random(K.size).sample(range(1, K.size), 500):
+            assert K.mul(a, K.inv(a)) == 1
+    for p in (2, 3, 5, 7, 11, 65521):
+        for a in random.Random(p).sample(range(1, p), min(p - 1, 500)):
+            assert field(p).inv(a) == pow(a, -1, p)
+
+
+_NEGATIVE_POWERS = """
+import random
+from nullity.coeffring import field, integers_mod
+assert field(2, 2).pow(2, -1) == 3
+Z9 = integers_mod(9)
+cases = [(field(7), range(1, 7)), (field(2, 2), range(1, 4)),
+         (field(3, 8), random.Random(38).sample(range(1, 3**8), 200)),
+         (Z9, (1, 2, 4, 5, 7, 8))]
+for K, units in cases:
+    for a in units:
+        for k in (1, 2, 3, 7):
+            assert K.pow(a, -k) == K.pow(K.inv(a), k), (K, a, k)
+            if K.m == 1:
+                assert K.pow(a, -k) == pow(a, -k, K.size), (K, a, k)
+"""
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    # in a child process with a timeout: a square-and-multiply loop that
+    # shifts a negative exponent right never ends, and should fail here
+    # rather than hang the suite
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", _NEGATIVE_POWERS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    Z9 = integers_mod(9)
+    for bad in (3, 6):
+        with pytest.raises(NotInvertibleError):
+            Z9.pow(bad, -1)
 
 
 def test_array_ops_agree_with_scalar_route():
@@ -240,4 +280,11 @@ def test_decode_encode_roundtrip():
         assert len(digits) == 3
         assert K.encode(digits) == a
     assert field(7).decode(5) == (5,)
+    # F:p and Z:n are one digit in base the characteristic, t**0 = 1 its
+    # only power: the layout the structure constants read for every ring
+    for K in (field(7), integers_mod(6)):
+        assert K.m == 1 and K._tpow == [(1,)]
+    Z6 = integers_mod(6)
+    assert [Z6.decode(a) for a in range(6)] == [(a,) for a in range(6)]
+    assert all(Z6.encode(Z6.decode(a)) == a for a in range(6))
 

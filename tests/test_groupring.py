@@ -1,6 +1,7 @@
 """Group ring elements, regular representation matrices, annihilator sizes."""
 
 import contextlib
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -455,8 +456,7 @@ def test_stacked_map_mask_is_both_sides(coeff, xs):
 
 def _coordinate_rows(K, n, vectors):
     """Coordinate rows (base-N digits) of coefficient vectors of length n."""
-    m = K.m if K.is_field else 1
-    N = K.characteristic
+    m, N = K.m, K.characteristic
     digits = [[(c // N**i) % N for c in v for i in range(m)] for v in vectors]
     return np.array(digits, dtype=np.int64).reshape(len(vectors), n * m)
 
@@ -571,6 +571,42 @@ def test_literal_products_run_on_one_blas_thread(monkeypatch):
     X = _decode_elements(N, T.shape[0], 0, ring_size(K, G))
     _zero_product_mask(T, N, X)
     assert entered == [1] and get() == before
+
+
+def test_overlapping_blas_scopes_restore_thread_count():
+    # the second thread opens its scope while the first holds the count at
+    # 1 and closes it after the first has closed; scopes taken one at a
+    # time leave the count where it was, interleaved ones leave it at 1
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+
+    def first():
+        with _one_blas_thread():
+            first_in.set()
+            second_in.wait(0.2)
+        first_out.set()
+
+    def second():
+        first_in.wait(5)
+        with _one_blas_thread():
+            second_in.set()
+            first_out.wait(5)
+
+    try:
+        workers = [threading.Thread(target=f) for f in (first, second)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(10)
+        assert second_in.is_set() and first_out.is_set()
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.parametrize("coeff", ["F:2", "F:4", "Z:4", "Z:6"])
