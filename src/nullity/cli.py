@@ -57,6 +57,15 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container pinned to 2 of 64 CPUs gets 2), else the CPU
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeff", required=True,
                    help="coefficient ring: F:q, F:p^m, or Z:n")
@@ -69,7 +78,7 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
                    help="largest |K|^n the census will sweep")
     p.add_argument("--max-pairs", type=int, default=oracle.DEFAULT_MAX_PAIRS,
                    help="largest pair count the naive counter will sweep")
-    p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=_worker_count, default=_default_workers(),
                    help="census worker threads (results identical for any count)")
 
 
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="reproduce the published >= 0.1 table")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("catalog", help="sweep instances, classify by threshold")

@@ -333,16 +333,13 @@ def _cycle(p: int, first: int, count: int, dt) -> np.ndarray:
 def _index_digits(p: int, D: int, lo: int, hi: int) -> np.ndarray:
     """(D, hi - lo) base-p digits of lo..hi-1, digit-major and C-contiguous
     (packing along a strided axis is several times slower), in the smallest
-    unsigned dtype that holds p - 1.  For p = 2 they are the index bits,
-    unpacked from its bytes; otherwise digit j runs through the values
+    unsigned dtype that holds p - 1.  Digit j runs through the values
     lo // p**j .. (hi - 1) // p**j mod p (:func:`_cycle`), each held for
     p**j consecutive indices: one ``np.repeat`` of those runs, trimmed to
     the window, or one or two fills once a run spans it.  No division runs
-    per element, and nothing built grows with p."""
+    per element, and nothing built grows with p.  Over F_2 the census
+    writes its planes from the index bits instead (:func:`_index_bits`)."""
     B = hi - lo
-    if p == 2:
-        e = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(B, 8)
-        return np.ascontiguousarray(np.unpackbits(e, axis=1, count=D, bitorder="little").T)
     digits = np.empty((D, B), dtype=np.min_scalar_type(p - 1))
     for j in range(D):
         s = p**j
@@ -355,6 +352,33 @@ def _index_digits(p: int, D: int, lo: int, hi: int) -> np.ndarray:
             digits[j, :cut] = first % p
             digits[j, cut:] = (first + 1) % p
     return digits
+
+
+# bit l of _LANE_BITS[j] is bit j of l, for the 64 lanes of a word
+_LANE_BITS = [sum(1 << l for l in range(64) if l >> j & 1) for j in range(6)]
+
+
+def _index_bits(D: int, lo: int, L: int) -> np.ndarray:
+    """(D, L) uint64 planes of bits 0..D-1 of the indices lo, lo + 1, ...,
+    one per bit lane: bit l of word k of plane j is bit j of lo + 64k + l,
+    so lanes past a window hold the indices after it.  With lo = 64q + r
+    that index is 64(q + k) + r + l, which carries 64 in the lanes
+    l >= 64 - r: bit j < 6 is one word for every k, the lane pattern of bit
+    j rotated right by r, and bit j >= 6 is bit j - 6 of q + k in the lanes
+    below 64 - r and of q + k + 1 from there on.  Nothing is unpacked."""
+    q, r = divmod(lo, 64)
+    out = np.empty((D, L), dtype=np.uint64)
+    low = min(D, 6)
+    out[:low] = np.array([(b >> r | b << (64 - r)) & ((1 << 64) - 1)
+                          for b in _LANE_BITS[:low]], dtype=np.uint64)[:, None]
+    if D > 6:
+        high = np.arange(q, q + L + 1, dtype=np.uint64)
+        high = high >> np.arange(D - 6, dtype=np.uint64)[:, None] & np.uint64(1)
+        below = np.uint64((1 << (64 - r)) - 1)
+        np.multiply(high[:, :-1], below, out=out[6:])
+        if r:
+            out[6:] |= high[:, 1:] * ~below
+    return out
 
 
 def _digit_planes(X: np.ndarray, w: int) -> np.ndarray:
@@ -378,23 +402,28 @@ def _lane_values(planes: np.ndarray) -> np.ndarray:
 
 
 def _lane_counts(words: np.ndarray) -> np.ndarray:
-    """Per bit lane, how many of the (k, L) words have it set."""
+    """Per bit lane, how many of the (k, L) words have it set, in the
+    smallest unsigned dtype that holds k (uint8 for every census)."""
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int64)
+    return bits.sum(axis=0, dtype=np.min_scalar_type(words.shape[0]))
 
 
 def _times_t(A: np.ndarray, K: CoeffRing) -> np.ndarray:
     """Planes of t*x over F_{p^m} from the (ncoef, m, w, L) planes of x: the
     coordinates shift up one place and t**m = -(a_0 + ... + a_{m-1}
-    t**(m-1)) folds the top one back in, -a_i times it added at place i
-    (:func:`_plane_axpy`)."""
+    t**(m-1)) folds the top one back in, -a_i times it added at place i by
+    double-and-add, the top's doublings taken once for every a_i."""
     p = K.p
     out = np.zeros_like(A)
     out[:, 1:] = A[:, :-1]
+    doubles = [A[:, -1]]
     for i, a in enumerate(K.modulus_poly):
         c = -a % p
-        _plane_axpy(p, out[:, i], [bool(c >> b & 1) for b in range(c.bit_length())],
-                    A[:, -1])
+        for b in range(c.bit_length()):
+            if b == len(doubles):
+                doubles.append(_plane_double(p, doubles[-1], np.empty_like(doubles[-1])))
+            if c >> b & 1:
+                _plane_add(p, out[:, i], doubles[b], out=out[:, i])
     return out
 
 
@@ -424,19 +453,18 @@ def _plane_multiples(p: int, x: np.ndarray) -> np.ndarray:
     """(p - 1, ...) planes of a*x over F_p, p <= 7, at index a - 1, from the
     planes of x (along axis 1) by doubling (:func:`_plane_double`) along
     1 -> 2 -> 4 -> ...  Over F_3 and F_5 that reaches every a; over F_7 it
-    stops at {1, 2, 4}, and 3x = x + 2x is the one addition, whose
-    doublings are 6x and 5x."""
+    stops at {1, 2, 4}, and 6x, 5x and 3x are -x, -2x and -4x: on 3-bit
+    planes -v is the complement ~v = 7 - v wherever v is nonzero, so each
+    is one AND of a complement with x's nonzero mask."""
     M = np.empty((p - 1,) + x.shape, dtype=x.dtype)
     M[0] = x
     a = 1
-    for _ in range(p - 2):
-        b = 2 * a % p
-        if b == 1:  # over F_7, where 2 has order 3
-            b = 3
-            _plane_add(p, x, M[1], out=M[2])
-        else:
-            _plane_double(p, M[a - 1], M[b - 1])
+    while (b := 2 * a % p) > 1:
+        _plane_double(p, M[a - 1], M[b - 1])
         a = b
+    if p == 7:
+        nonzero = np.bitwise_or.reduce(x, axis=1, keepdims=True)
+        M[[5, 4, 2]] = ~M[[0, 1, 3]] & nonzero
     return M
 
 
@@ -506,16 +534,13 @@ def _plane_reduce(p: int, s: list, out: np.ndarray) -> np.ndarray:
 def _plane_axpy(p: int, y: np.ndarray, bits, x: np.ndarray) -> np.ndarray:
     """y + f*x over F_p on planes along axis 1, into y, by double-and-add
     (Boothby and Bradshaw, arXiv:0901.1413): f's binary digit b is
-    bits[b], lane masks that broadcast against x's planes, or a bool for an
-    f shared by every lane, and the term 2**b * x comes from doubling x
-    (odd p; over F_2 f has one digit), so a w-bit f costs at most w plane
-    additions, none for an all-zero mask."""
+    bits[b], lane masks that broadcast against x's planes, and the term
+    2**b * x comes from doubling x (odd p; over F_2 f has one digit), so a
+    w-bit f costs at most w plane additions, none for an all-zero mask."""
     for b, mask in enumerate(bits):
         if b:
             x = _plane_double(p, x, np.empty_like(x))
-        if mask is True:
-            _plane_add(p, y, x, out=y)
-        elif mask is not False and mask.any():
+        if mask.any():
             _plane_add(p, y, x & mask, out=y)
     return y
 
@@ -541,8 +566,9 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
     (``bitwise_or.accumulate`` down the rows), and every row r, the pivot
     row included, gets e_r - (e_r/lead)*pivot, so the column clears and the
     rank goes up by one in every lane where any row had the column.  Over
-    F_2 that is adding the pivot row (XOR) to every row with the bit.  The
-    step for other p is picked from p:
+    F_2 that is adding the pivot row (XOR) to every row with the bit, and
+    the nonzero mask is the column's one plane.  The step for other p is
+    picked from p:
 
     * p = 3, 5, 7: the multiples a*pivot, a in 1..p-1, come from plane
       doublings (:func:`_plane_multiples`), the masks [e_r = a*lead] for
@@ -563,7 +589,7 @@ def _plane_ranks(W: np.ndarray, p: int) -> np.ndarray:
         term = np.empty_like(step)
     for c in range(ncols):
         E = W[c]
-        nz = np.bitwise_or.reduce(E, axis=0)
+        nz = E[0] if w == 1 else np.bitwise_or.reduce(E, axis=0)
         seen = np.bitwise_or.accumulate(nz, axis=0)
         pivots[c] = seen[-1]
         first = nz.copy()

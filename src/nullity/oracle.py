@@ -41,7 +41,7 @@ import numpy as np
 from .coeffring import CoeffRing
 from .groupring import (CapExceeded, _ann_gather_indices, _check_side,
                         _chunk_ranks, _decode_elements, _digit_planes,
-                        _index_digits, _is_int, _keep_freed_memory,
+                        _index_bits, _index_digits, _is_int, _keep_freed_memory,
                         _structure_constants, _zero_product_mask, ring_size)
 from .groups import CayleyGroup
 
@@ -94,16 +94,20 @@ def _census_rows(K: CoeffRing, n: int, lo: int, hi: int, sliced: bool) -> np.nda
     elements lo..hi, one element per bit lane, plus a zero column for the
     gather sentinel: all of the algebra, or the slice x_e = 1 whose index j
     holds (1, base-|K| digits of j).  A coefficient is its m coordinates
-    over F_p, the base-p digits of its index, packed from the digit-major
-    digits of :func:`_index_digits`; the slice's x_e = 1 is a constant
-    plane (in every lane, the tail past hi - lo included) and the sentinel
-    is zero."""
+    over F_p, the base-p digits of its index: over F_2 the index bits,
+    written as planes (:func:`_index_bits`), and otherwise packed from the
+    digit-major digits of :func:`_index_digits`.  The slice's x_e = 1 is a
+    constant plane (in every lane, the tail past hi - lo included) and the
+    sentinel is zero."""
     p, m = K.p, K.m
     k = n - 1 if sliced else n
     w = (p - 1).bit_length()
     L = -(-(hi - lo) // 64)
     A = np.zeros((n + 1, m, w, L), dtype=np.uint64)
-    A[n - k:n] = _digit_planes(_index_digits(p, k * m, lo, hi), w).reshape(k, m, w, L)
+    if p == 2:
+        A[n - k:n, :, 0] = _index_bits(k * m, lo, L).reshape(k, m, L)
+    else:
+        A[n - k:n] = _digit_planes(_index_digits(p, k * m, lo, hi), w).reshape(k, m, w, L)
     if sliced:
         A[0, 0, 0] = ~np.uint64(0)
     return A
@@ -118,9 +122,11 @@ def _census_chunk(K: CoeffRing, P: np.ndarray, lo: int, hi: int,
     chunk are dropped here.
     """
     n = P.shape[1]
-    ranks, support = _chunk_ranks(K, _census_rows(K, n, lo, hi, sliced), P)
     B = hi - lo
-    cells = np.bincount((n - ranks[:B]) * (n + 1) + support[:B], minlength=(n + 1) ** 2)
+    # the lane counts are uint8, and the cell index passes 255 from n = 16
+    ranks, support = (v[:B].astype(np.int64)
+                      for v in _chunk_ranks(K, _census_rows(K, n, lo, hi, sliced), P))
+    cells = np.bincount((n - ranks) * (n + 1) + support, minlength=(n + 1) ** 2)
     return cells.reshape(n + 1, n + 1)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nullity import formulas
-from nullity.cli import decimal_str, main, show
+from nullity.cli import build_parser, decimal_str, main, show
 from nullity.groups import group_from_spec
 
 
@@ -285,6 +285,23 @@ def test_bad_workers_and_group_files_rejected(capsys, tmp_path):
     path.write_text("[[false, true], [true, false]]")
     code, _, err = run(capsys, "oracle", "--coeff", "F:2", "--group", f"@{path}")
     assert code == 1 and "[0][0] = False is not an integer" in err
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to 3 of 64 CPUs runs 3 census threads by default;
+    # without an affinity call the CPU count is the default, and 1 when
+    # that is unknown
+    commands = [["oracle", "--coeff", "F:2", "--group", "S3"],
+                ["compare", "--coeff", "F:2", "--group", "S3"],
+                ["catalog"], ["table1"]]
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert [build_parser().parse_args(c).workers for c in commands] == [3] * 4
+    assert build_parser().parse_args(commands[0] + ["--workers", "7"]).workers == 7
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    assert [build_parser().parse_args(c).workers for c in commands] == [64] * 4
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert [build_parser().parse_args(c).workers for c in commands] == [1] * 4
 
 
 def test_argparse_rejects_unknown_subcommand():

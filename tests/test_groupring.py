@@ -11,7 +11,7 @@ import pytest
 from nullity.coeffring import CoeffRing, field, integers_mod, ring_from_spec
 from int64_ranks import batch_ranks
 from nullity.groupring import (CapExceeded, _bitsliced_ranks, _decode_elements,
-                               _digit_planes, _exact_float, _index_digits,
+                               _digit_planes, _exact_float, _index_bits, _index_digits,
                                _lane_values, _one_blas_thread, _plane_add,
                                _plane_axpy, _plane_double, _plane_multiples,
                                _openblas_threads,
@@ -124,6 +124,8 @@ def test_matrix_rank_basics():
     assert matrix_rank(K, np.eye(4, dtype=int)) == 4
     # rows 0 and 2 are proportional over F_3 (2 = -1)
     assert matrix_rank(K, [[1, 2, 0], [0, 1, 1], [2, 1, 0]]) == 2
+    # 300 pivots in one lane, past the 255 that a uint8 lane count holds
+    assert matrix_rank(field(2), np.eye(300, dtype=int)) == 300
     with pytest.raises(ValueError, match="field"):
         matrix_rank(integers_mod(4), [[1]])
 
@@ -257,9 +259,9 @@ def test_plane_double_equals_residue_double(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 257, 65537, 4194301])
 def test_plane_axpy_equals_residue_axpy(p):
-    # y + f*x with a multiplier f per lane (its planes as the lane masks)
-    # and with one f for every lane (bools), on random (3, w, L) planes
-    # with the extreme residues 0, 1, p - 1 in every role
+    # y + f*x with a multiplier f per lane (its planes as the lane masks),
+    # on random (3, w, L) planes with the extreme residues 0, 1, p - 1 in
+    # every role
     w = (p - 1).bit_length()
     rng = np.random.default_rng(20261020 + p)
     x, y = rng.integers(0, p, size=(2, 3, 500))
@@ -270,17 +272,15 @@ def test_plane_axpy_equals_residue_axpy(p):
     Y = _digit_planes(y, w)
     assert _plane_axpy(p, Y, _digit_planes(f, w), _digit_planes(x, w)) is Y
     assert np.array_equal(Y, _digit_planes((y + f * x) % p, w))
-    c = int(f[-1])
-    Y = _plane_axpy(p, _digit_planes(y, w), [bool(c >> b & 1) for b in range(w)],
-                    _digit_planes(x, w))
-    assert np.array_equal(Y, _digit_planes((y + c * x) % p, w))
-    assert np.array_equal(_lane_values(Y)[:, :500], (y + c * x) % p)
+    assert np.array_equal(_lane_values(Y)[:, :500], (y + f * x) % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_plane_multiples_equal_repeated_addition(p):
-    # a*x, a = 1..p-1, against x added to itself a - 1 times, on random
-    # (3, w, L) planes whose first 40 lanes of each row are zero
+    # a*x, a = 1..p-1, against x added to itself a - 1 times and against
+    # a*x mod p, on random (3, w, L) planes whose first 40 lanes of each
+    # row are zero (over F_7, 3x, 5x and 6x are complements of 4x, 2x
+    # and x, masked by x's nonzero lanes)
     w = (p - 1).bit_length()
     x = np.random.default_rng(20261020 + p).integers(0, p, size=(3, 200), dtype=np.uint8)
     x[:, :40] = 0
@@ -290,6 +290,7 @@ def test_plane_multiples_equal_repeated_addition(p):
     want = X.copy()
     for a in range(1, p):
         assert np.array_equal(M[a - 1], want), a
+        assert np.array_equal(M[a - 1], _digit_planes(a * x % p, w)), a
         want = _plane_add(p, want, X)
     assert not want.any()  # p*x = 0
 
@@ -298,25 +299,49 @@ def test_plane_multiples_equal_repeated_addition(p):
                                   "F:256", "F:3^6", "F:11", "F:121", "F:251", "F:257",
                                   "F:65537", "F:4194301"])
 def test_index_digits_equal_decoded_digits(spec):
-    # index bits over F_2 and runs of each digit over odd F_p: the n*m
-    # base-p digits of an index, digit-major, are the coordinates
-    # (K.decode) of its n base-q digits, from the base-q division (exact
-    # while q**n < 2**63); windows start and end anywhere, inside a run of a
-    # high digit (one run or two) and across many runs of a low one.  The
-    # dtype is the smallest unsigned one that holds p - 1, uint8 to p = 251
+    # index bit planes over F_2 (read back inside the window) and runs of
+    # each digit over odd F_p: the n*m base-p digits of an index,
+    # digit-major, are the coordinates (K.decode) of its n base-q digits,
+    # from the base-q division (exact while q**n < 2**63); windows start
+    # and end anywhere, inside a run of a high digit (one run or two) and
+    # across many runs of a low one.  The odd-p dtype is the smallest
+    # unsigned one that holds p - 1, uint8 to p = 251
     K = ring_from_spec(spec)
     for n, lo, hi in ((0, 0, 3), (1, 0, 2), (4, 3, 200), (6, 1000, 1300), (7, 4095, 4200)):
         if K.size ** n >= 1 << 63:
             continue
         hi = min(hi, K.size ** n)
         lo = min(lo, hi - 1)
-        got = _index_digits(K.p, n * K.m, lo, hi)
-        assert got.dtype == np.min_scalar_type(K.p - 1)
-        assert (got.dtype == np.uint8) == (K.p <= 251)
+        if K.p == 2:
+            planes = _index_bits(n * K.m, lo, -(-(hi - lo) // 64))
+            got = _lane_values(planes[:, None])[:, :hi - lo]
+        else:
+            got = _index_digits(K.p, n * K.m, lo, hi)
+            assert got.dtype == np.min_scalar_type(K.p - 1)
+            assert (got.dtype == np.uint8) == (K.p <= 251)
         want = [[K.decode(int(d)) for d in row]
                 for row in _decode_elements(K.size, n, lo, hi)]
         assert got.T.reshape(hi - lo, n, K.m).tolist() == [[list(c) for c in row]
                                                           for row in want]
+
+
+@pytest.mark.parametrize("lo", [0, 1, 63, 64, 4095, (1 << 21) - 3])
+def test_index_bits_equal_digit_planes_of_the_index_bits(lo):
+    # the F_2 census planes, written from the index without unpacking,
+    # against the packed bits of lo..lo+B-1, inside the window only: lo on
+    # and off the 64-lane grid, windows of one lane to three words, and
+    # bits below 6 (rotated lane patterns), at 6 and above (words of the
+    # high part, carried across a word when lo % 64 != 0)
+    for B in (1, 3, 64, 129, 200):
+        L = -(-B // 64)
+        window = np.uint64((1 << 64) - 1) >> np.uint64(-B % 64)
+        e = np.arange(lo, lo + B)
+        for D in (0, 1, 5, 6, 7, 22):
+            got = _index_bits(D, lo, L)
+            assert got.shape == (D, L) and got.dtype == np.uint64
+            got[:, -1] &= window
+            want = _digit_planes(e >> np.arange(D)[:, None] & 1, 1)[:, 0]
+            assert np.array_equal(got, want), (B, D)
 
 
 def test_index_digits_build_nothing_the_size_of_p():

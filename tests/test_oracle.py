@@ -741,7 +741,8 @@ def test_literal_route_reads_no_census_helper(monkeypatch):
     kernel = [name for name in vars(groupring) if name.startswith(("_plane", "_lane"))]
     assert len(kernel) >= 8
     for name in ["_ann_gather_indices", "_chunk_ranks", "_bitsliced_ranks", "_cycle",
-                 "_index_digits", "_digit_planes", "_times_t", "_fermat_inverse"] + kernel:
+                 "_index_digits", "_index_bits", "_digit_planes", "_times_t",
+                 "_fermat_inverse"] + kernel:
         monkeypatch.setattr(groupring, name, forbidden)
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     assert [pair_count_naive(K4, C3, rel) for rel in oracle.RELATIONS] == want
